@@ -1,16 +1,52 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.immutable.AbstractSeq
 import repro.core.HierarchicalGrid.CellKey
 
-/** Output of the blocking phase: pairs of (query vector index, target leaf
-  * cell). Matching pairs are proven matches (Lemmas 5/6); candidate pairs
-  * survived filtering (Lemmas 3/4) and need verification.
+/** Pairs of (query vector index, leaf cell id) in two parallel arrays,
+  * appended in the order blocking emits them. Entries at `size` and above
+  * are spare capacity.
   */
-final case class BlockResult(
-    matching: mutable.ArrayBuffer[(Int, CellKey)],
-    candidates: mutable.ArrayBuffer[(Int, CellKey)],
-)
+final class CellPairs {
+  var q: Array[Int] = new Array[Int](64)
+  var cell: Array[Int] = new Array[Int](64)
+  var size: Int = 0
+
+  def add(qi: Int, cellId: Int): Unit = {
+    if (size == q.length) {
+      q = java.util.Arrays.copyOf(q, size * 2)
+      cell = java.util.Arrays.copyOf(cell, size * 2)
+    }
+    q(size) = qi
+    cell(size) = cellId
+    size += 1
+  }
+}
+
+/** Output of the blocking phase: pairs of (query vector index, target leaf
+  * cell) of `grid`. Matching pairs are proven matches (Lemmas 5/6);
+  * candidate pairs survived filtering (Lemmas 3/4) and need verification.
+  *
+  * `matching` and `candidates` show the pairs with cell keys, as read-only
+  * views over the arrays.
+  */
+final class BlockResult(
+    val grid: HierarchicalGrid,
+    val matchingPairs: CellPairs,
+    val candidatePairs: CellPairs,
+) {
+  def matching: IndexedSeq[(Int, CellKey)] = keyed(matchingPairs)
+  def candidates: IndexedSeq[(Int, CellKey)] = keyed(candidatePairs)
+
+  private def keyed(pairs: CellPairs): IndexedSeq[(Int, CellKey)] =
+    new AbstractSeq[(Int, CellKey)] with IndexedSeq[(Int, CellKey)] {
+      def length: Int = pairs.size
+      def apply(i: Int): (Int, CellKey) = {
+        if (i < 0 || i >= pairs.size) throw new IndexOutOfBoundsException(s"$i of ${pairs.size}")
+        (pairs.q(i), grid.leafAt(pairs.cell(i)).key)
+      }
+    }
+}
 
 /** Blocking (paper Algorithm 1) + quick browsing (Section III-C).
   *
@@ -42,54 +78,62 @@ object Block {
       quickBrowsing: Boolean = true,
   ): BlockResult = {
     require(hgQ.levels == hgS.levels, "HG_Q and HG_SV must share the level count")
-    val res = BlockResult(mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty)
+    val res = new BlockResult(hgS, new CellPairs, new CellPairs)
 
     if (quickBrowsing) {
       hgQ.leafCells.foreach { qLeaf =>
-        if (hgS.leaf(qLeaf.key).isDefined) {
-          qLeaf.payloads.foreach(q => res.candidates += ((q, qLeaf.key)))
+        hgS.leaf(qLeaf.key).foreach { sLeaf =>
+          qLeaf.payloads.foreach(q => res.candidatePairs.add(q, sLeaf.id))
         }
       }
     }
 
-    descend(hgQ.root, hgS.root, hgQ, hgS, queryMapped, tau, quickBrowsing, res)
+    descend(hgQ.root, hgS.root, queryMapped, tau, quickBrowsing, res)
     res
   }
 
   private def descend(
       cQ: HierarchicalGrid#GridNode,
       cS: HierarchicalGrid#GridNode,
-      hgQ: HierarchicalGrid,
-      hgS: HierarchicalGrid,
       queryMapped: Array[Array[Double]],
       tau: Double,
       quickBrowsing: Boolean,
       res: BlockResult,
   ): Unit = {
-    cQ.children.valuesIterator.foreach { cq =>
-      cS.children.valuesIterator.foreach { cs =>
+    val qKids = cQ.kids
+    val sKids = cS.kids
+    var a = 0
+    while (a < qKids.length) {
+      val cq = qKids(a)
+      var b = 0
+      while (b < sKids.length) {
+        val cs = sKids(b)
         if (cq.isLeaf && cs.isLeaf) {
           // handled by quick browsing already?
           val sameCell = java.util.Arrays.equals(cq.coords, cs.coords)
           if (!(quickBrowsing && sameCell)) {
-            cq.payloads.foreach { q =>
+            val qs = cq.payloads
+            var i = 0
+            while (i < qs.length) {
+              val q = qs(i)
               val qm = queryMapped(q)
-              if (GridGeometry.vectorCellMatched(cs, qm, tau))
-                res.matching += ((q, cs.key))
-              else if (!GridGeometry.vectorCellFiltered(cs, qm, tau))
-                res.candidates += ((q, cs.key))
+              if (GridGeometry.vectorCellMatched(cs, qm, tau)) res.matchingPairs.add(q, cs.id)
+              else if (!GridGeometry.vectorCellFiltered(cs, qm, tau)) res.candidatePairs.add(q, cs.id)
+              i += 1
             }
           }
         } else if (GridGeometry.cellCellMatched(cs, cq, tau)) {
           val qs = cq.subtreePayloads.toArray
           cs.leaves.foreach { leaf =>
-            val key = leaf.key
-            qs.foreach(q => res.matching += ((q, key)))
+            var i = 0
+            while (i < qs.length) { res.matchingPairs.add(qs(i), leaf.id); i += 1 }
           }
         } else if (!GridGeometry.cellCellFiltered(cs, cq, tau)) {
-          descend(cq, cs, hgQ, hgS, queryMapped, tau, quickBrowsing, res)
+          descend(cq, cs, queryMapped, tau, quickBrowsing, res)
         }
+        b += 1
       }
+      a += 1
     }
   }
 }

@@ -11,6 +11,9 @@ import scala.collection.mutable
   * vector ids in its leaves) and `HG_SV` (leaves carry no vectors — the
   * target vectors live in the inverted index keyed by leaf cell).
   *
+  * Every leaf gets a dense id, `0 until numLeaves`, in creation order; the
+  * inverted index and the blocking output refer to leaf cells by that id.
+  *
   * `extent` defaults to slightly above the max distance between unit
   * vectors (2.0) so floating-point noise never pushes a mapped coordinate
   * outside the grid.
@@ -24,7 +27,15 @@ final class HierarchicalGrid(
 
   import HierarchicalGrid.CellKey
 
+  private val leafNodes = mutable.ArrayBuffer.empty[GridNode]
+
   val root: GridNode = new GridNode(0, Array.empty[Int])
+
+  /** Number of materialized leaf cells. */
+  def numLeaves: Int = leafNodes.length
+
+  /** The leaf cell with dense id `id`. */
+  def leafAt(id: Int): GridNode = leafNodes(id)
 
   /** Cell edge length at `level`. */
   def widthAt(level: Int): Double = extent / (1 << level)
@@ -48,14 +59,26 @@ final class HierarchicalGrid(
     * vector indices; pass -1 for HG_SV).
     */
   def insert(mapped: Array[Double], payload: Int): GridNode = {
+    val node = insertLeaf(coordsAt(mapped, levels))
+    if (payload >= 0) node.payloads += payload
+    node
+  }
+
+  /** Materialize the path to the leaf cell with coordinates `leaf`; returns
+    * the leaf. A cell's coordinates at level l are its leaf coordinates
+    * shifted right by `levels - l`, the same cell [[coordsAt]] gives at l.
+    */
+  def insertLeaf(leaf: Array[Int]): GridNode = {
     var node = root
     var lvl = 1
     while (lvl <= levels) {
-      val key = ArraySeq.unsafeWrapArray(coordsAt(mapped, lvl))
-      node = node.childOrCreate(key, lvl)
+      val shift = levels - lvl
+      val coords = new Array[Int](numDims)
+      var i = 0
+      while (i < numDims) { coords(i) = leaf(i) >> shift; i += 1 }
+      node = node.childOrCreate(ArraySeq.unsafeWrapArray(coords), lvl)
       lvl += 1
     }
-    if (payload >= 0) node.payloads += payload
     node
   }
 
@@ -89,18 +112,32 @@ final class HierarchicalGrid(
   final class GridNode(val level: Int, val coords: Array[Int]) extends Serializable {
     val children: mutable.HashMap[CellKey, GridNode] = mutable.HashMap.empty
     /** Query vector indices (HG_Q leaves only). */
-    val payloads: mutable.ArrayBuffer[Int] = mutable.ArrayBuffer.empty
+    val payloads: mutable.ArrayBuffer[Int] = new mutable.ArrayBuffer[Int](0)
+    /** Dense leaf id (see class doc); -1 for inner cells. */
+    val id: Int = if (level == levels) { leafNodes += this; leafNodes.length - 1 } else -1
+    private[this] val width = widthAt(level)
+    /** `children` values in iteration order; reset when a child is added.
+      * Volatile so that concurrent searches only see a filled array.
+      */
+    @volatile private[this] var kidsCache: Array[HierarchicalGrid#GridNode] = null
 
     def isLeaf: Boolean = level == levels
     def key: CellKey = ArraySeq.unsafeWrapArray(coords)
 
     def childOrCreate(k: CellKey, lvl: Int): GridNode =
-      children.getOrElseUpdate(k, new GridNode(lvl, k.toArray))
+      children.getOrElseUpdate(k, { kidsCache = null; new GridNode(lvl, k.toArray) })
+
+    /** The children as an array, in the order of `children.valuesIterator`. */
+    def kids: Array[HierarchicalGrid#GridNode] = {
+      var k = kidsCache
+      if (k == null) { k = children.valuesIterator.toArray[HierarchicalGrid#GridNode]; kidsCache = k }
+      k
+    }
 
     /** Lower box corner in dimension i. */
-    def lo(i: Int): Double = coords(i) * widthAt(level)
+    def lo(i: Int): Double = coords(i) * width
     /** Upper box corner in dimension i. */
-    def hi(i: Int): Double = (coords(i) + 1) * widthAt(level)
+    def hi(i: Int): Double = (coords(i) + 1) * width
 
     /** All leaf descendants (self if leaf). */
     def leaves: Iterator[GridNode] =

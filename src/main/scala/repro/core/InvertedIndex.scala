@@ -1,73 +1,160 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
+import java.io.ObjectInputStream
 import scala.collection.mutable
 import repro.core.HierarchicalGrid.CellKey
 
-/** One indexed target vector: its column, its pivot-space image (for
-  * Lemma 1/2 per-vector tests during verification) and the original
-  * vector (for exact distance computation).
-  */
-final case class Posting(
-    colId: Int,
-    mapped: Array[Double],
-    original: Array[Double],
-) extends Serializable
-
-/** Inverted index from leaf cells of `HG_SV` to column postings
-  * (paper Section III-C, Fig. 4).
+/** Inverted index from the leaf cells of `HG_SV` to column postings
+  * (paper Section III-C, Fig. 4), as flat arrays.
   *
-  * Postings within a cell are sorted by column id — the DaaT
+  * Postings are sorted by (leaf cell id, column); each run of one column's
+  * postings inside one cell is a ''segment''. Segments give the DaaT
   * (document-at-a-time) order that lets verification process one column's
   * candidates together and apply the early-termination rules (joinability
-  * reached, or Lemma 7 says the column can no longer reach `T`).
+  * reached, or Lemma 7 says the column can no longer reach `T`), and the
+  * distinct columns of a cell for Lemma 5/6 matches.
+  *
+  * Columns are dense indices `0 until numColumns`, in ascending order of
+  * their ids `colIds`. Posting p's pivot image is
+  * `mapped(p·numPivots until (p+1)·numPivots)` and its vector
+  * `vectors(p·dim until (p+1)·dim)`.
+  *
+  * The grid `HG_SV` is not serialized: it is rebuilt from the leaf
+  * coordinates when the index is read back, with the same leaf ids.
   */
-final class InvertedIndex private (
-    val postings: Map[CellKey, Array[Posting]],
-    /** per cell: colId → [from, until) slice into the postings array */
-    val colRanges: Map[CellKey, Map[Int, (Int, Int)]],
+final class InvertedIndex private[core] (
+    val numPivots: Int,
+    val dim: Int,
+    val levels: Int,
+    val extent: Double,
+    /** ids of the dense columns, ascending */
+    val colIds: Array[Int],
+    /** leaf coordinates of cell c: `cellCoords(c·numPivots until (c+1)·numPivots)` */
+    cellCoords: Array[Int],
+    /** segments of cell c: `cellSeg(c) until cellSeg(c + 1)` */
+    val cellSeg: Array[Int],
+    /** dense column of segment s */
+    val segCol: Array[Int],
+    /** postings of segment s: `segStart(s) until segStart(s + 1)` */
+    val segStart: Array[Int],
+    val mapped: Array[Double],
+    val vectors: Array[Double],
+    @transient private var hgS: HierarchicalGrid,
 ) extends Serializable {
 
-  /** Distinct column ids with at least one vector in `cell`. */
-  def columnsIn(cell: CellKey): Iterable[Int] =
-    colRanges.getOrElse(cell, Map.empty).keys
+  /** `HG_SV`: its leaf with id c is cell c of this index. */
+  def grid: HierarchicalGrid = hgS
 
-  /** Postings of one column inside one cell (empty if absent). */
-  def postingsOf(cell: CellKey, colId: Int): ArraySeq[Posting] =
-    colRanges.get(cell).flatMap(_.get(colId)) match {
-      case Some((from, until)) =>
-        ArraySeq.unsafeWrapArray(java.util.Arrays.copyOfRange(postings(cell), from, until))
-      case None => ArraySeq.empty
-    }
+  def numCells: Int = cellSeg.length - 1
+  def numColumns: Int = colIds.length
 
-  /** All postings of a cell (any column). */
-  def postingsIn(cell: CellKey): Array[Posting] =
-    postings.getOrElse(cell, Array.empty)
+  /** Positions of the postings of a leaf cell (empty if not materialized). */
+  def postingsIn(cell: CellKey): Range = grid.leaf(cell) match {
+    case Some(l) => segStart(cellSeg(l.id)) until segStart(cellSeg(l.id + 1))
+    case None    => Range(0, 0)
+  }
 
-  def numCells: Int = postings.size
-  def numPostings: Long = postings.valuesIterator.map(_.length.toLong).sum
+  private def readObject(in: ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    hgS = InvertedIndex.gridOf(numPivots, levels, extent, cellCoords)
+  }
 }
 
 object InvertedIndex {
 
-  /** Build from (leaf cell, posting) pairs accumulated during indexing. */
-  def build(entries: mutable.Map[CellKey, mutable.ArrayBuffer[Posting]]): InvertedIndex = {
-    val posts  = Map.newBuilder[CellKey, Array[Posting]]
-    val ranges = Map.newBuilder[CellKey, Map[Int, (Int, Int)]]
-    entries.foreach { case (cell, buf) =>
-      val sorted = buf.toArray.sortBy(_.colId)
-      posts += cell -> sorted
-      val r = Map.newBuilder[Int, (Int, Int)]
-      var i = 0
-      while (i < sorted.length) {
-        val col = sorted(i).colId
-        var j = i
-        while (j < sorted.length && sorted(j).colId == col) j += 1
-        r += col -> ((i, j))
-        i = j
-      }
-      ranges += cell -> r.result()
+  /** Grid whose leaf c has coordinates `cellCoords(c·dims until (c+1)·dims)`:
+    * inserting the leaves in id order gives each its id back.
+    */
+  private def gridOf(dims: Int, levels: Int, extent: Double, cellCoords: Array[Int]): HierarchicalGrid = {
+    val grid = new HierarchicalGrid(dims, levels, extent)
+    var c = 0
+    while (c * dims < cellCoords.length) {
+      grid.insertLeaf(java.util.Arrays.copyOfRange(cellCoords, c * dims, (c + 1) * dims))
+      c += 1
     }
-    new InvertedIndex(posts.result(), ranges.result())
+    grid
+  }
+
+  /** `in` reordered stably by `key(in(i))` ∈ `[0, numKeys)`, and the
+    * start of each key's run (`numKeys + 1` offsets).
+    */
+  private def stableSort(in: Array[Int], key: Array[Int], numKeys: Int): (Array[Int], Array[Int]) = {
+    val start = new Array[Int](numKeys + 1)
+    var i = 0
+    while (i < in.length) { start(key(in(i)) + 1) += 1; i += 1 }
+    var k = 0
+    while (k < numKeys) { start(k + 1) += start(k); k += 1 }
+    val fill = start.clone()
+    val out = new Array[Int](in.length)
+    i = 0
+    while (i < in.length) { val kk = key(in(i)); out(fill(kk)) = in(i); fill(kk) += 1; i += 1 }
+    (out, start)
+  }
+
+  /** Build from the repository vectors in input order.
+    *
+    * @param grid    `HG_SV` holding every vector; `cell(p)` is the id of the
+    *                leaf vector p went into
+    * @param colIds  column ids, ascending and distinct
+    * @param col     dense column of vector p
+    * @param mapped  pivot image of vector p
+    * @param vecs    vector p
+    */
+  def build(
+      grid: HierarchicalGrid,
+      colIds: Array[Int],
+      cell: Array[Int],
+      col: Array[Int],
+      mapped: Array[Array[Double]],
+      vecs: Array[Array[Double]],
+  ): InvertedIndex = {
+    val n = cell.length
+    val numCells = grid.numLeaves
+    val np = grid.numDims
+    val dim = if (n == 0) 0 else vecs(0).length
+
+    // Two stable counting sorts, by column then by cell, order the
+    // postings by (cell, column), ties in input order.
+    val (byCol, _) = stableSort(Array.range(0, n), col, colIds.length)
+    val (order, cellStart) = stableSort(byCol, cell, numCells)
+
+    val cellSeg = new Array[Int](numCells + 1)
+    val segCol = new mutable.ArrayBuilder.ofInt
+    val segStart = new mutable.ArrayBuilder.ofInt
+    var numSegs = 0
+    var c = 0
+    var p = 0
+    while (c < numCells) {
+      cellSeg(c) = numSegs
+      var prevCol = -1
+      while (p < cellStart(c + 1)) {
+        val k = col(order(p))
+        if (k != prevCol) { segCol += k; segStart += p; numSegs += 1; prevCol = k }
+        p += 1
+      }
+      c += 1
+    }
+    cellSeg(numCells) = numSegs
+    segStart += n
+
+    // Copy in input order, which reads the source vectors sequentially.
+    val pos = new Array[Int](n)
+    p = 0
+    while (p < n) { pos(order(p)) = p; p += 1 }
+    val flatMapped = new Array[Double](n * np)
+    val flatVecs = new Array[Double](n * dim)
+    var src = 0
+    while (src < n) {
+      System.arraycopy(mapped(src), 0, flatMapped, pos(src) * np, np)
+      System.arraycopy(vecs(src), 0, flatVecs, pos(src) * dim, dim)
+      src += 1
+    }
+
+    val cellCoords = new Array[Int](numCells * np)
+    c = 0
+    while (c < numCells) { System.arraycopy(grid.leafAt(c).coords, 0, cellCoords, c * np, np); c += 1 }
+
+    new InvertedIndex(np, dim, grid.levels, grid.extent, colIds, cellCoords,
+      cellSeg, segCol.result(), segStart.result(), flatMapped, flatVecs, grid)
   }
 }

@@ -1,8 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-import repro.core.HierarchicalGrid.CellKey
-
 /** Verification strategy selector: `Pexeso` = inverted index + DaaT +
   * Lemmas 1/2/7 (the paper's method); `PexesoH` = naive per-cell
   * verification (the ablation "PEXESO-H" of Section VI-A).
@@ -18,12 +15,17 @@ object VerifyMode {
   * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
   *
   * Serializable so the out-of-core path (Section IV) can spill one index
-  * per partition to disk and load them back one at a time.
+  * per partition to disk and load them back one at a time; the index is
+  * flat arrays, and `HG_SV` is rebuilt from its leaf cells on load.
+  *
+  * Inputs are checked once at the API boundary: every vector must have the
+  * index's dimension and finite values, and every pivot distance must lie
+  * inside the grid extent. Beyond the extent the grid would clamp a vector
+  * into the last cell, and the cell lemmas would then prune real matches.
   */
 final class PexesoIndex(
     val pivots: PivotSet,
     val levels: Int,
-    val grid: HierarchicalGrid,
     val inverted: InvertedIndex,
     val columnSizes: Map[Int, Int],
     val buildNanos: Long,
@@ -31,6 +33,7 @@ final class PexesoIndex(
 
   def numPivots: Int = pivots.numPivots
   def numColumns: Int = columnSizes.size
+  def grid: HierarchicalGrid = inverted.grid
 
   /** Joinable column search (paper Algorithm 3).
     *
@@ -45,10 +48,13 @@ final class PexesoIndex(
       mode: VerifyMode = VerifyMode.Pexeso,
       quickBrowsing: Boolean = true,
   ): SearchResult = {
+    require(query.nonEmpty, "empty query")
+    query.foreach(PexesoIndex.checkVector(_, inverted.dim, "query vector"))
     val tAbs = Verify.absThreshold(tFrac, query.length)
 
     val t0 = System.nanoTime()
     val queryMapped = pivots.mapAll(query)
+    queryMapped.foreach(PexesoIndex.checkMapped(_, grid.extent, "query vector"))
     val hgQ = new HierarchicalGrid(numPivots, levels, grid.extent)
     var q = 0
     while (q < query.length) { hgQ.insert(queryMapped(q), q); q += 1 }
@@ -68,13 +74,35 @@ final class PexesoIndex(
       blockNanos = t1 - t0,
       verifyNanos = t2 - t1,
       distanceComputations = stats.distanceComputations,
-      candidatePairs = block.candidates.length.toLong,
-      matchingPairs = block.matching.length.toLong,
+      candidatePairs = block.candidatePairs.size.toLong,
+      matchingPairs = block.matchingPairs.size.toLong,
     )
   }
 }
 
 object PexesoIndex {
+
+  // Plain `if`s rather than `require`, whose by-name message would be a
+  // closure allocated per coordinate.
+  private def checkVector(v: Array[Double], dim: Int, what: String): Unit = {
+    if (v.length != dim)
+      throw new IllegalArgumentException(s"$what has dimension ${v.length}, expected $dim")
+    var i = 0
+    while (i < v.length) {
+      if (!java.lang.Double.isFinite(v(i)))
+        throw new IllegalArgumentException(s"$what has a non-finite value ${v(i)} at $i")
+      i += 1
+    }
+  }
+
+  private def checkMapped(m: Array[Double], extent: Double, what: String): Unit = {
+    var i = 0
+    while (i < m.length) {
+      if (!(m(i) <= extent))
+        throw new IllegalArgumentException(s"$what is ${m(i)} from pivot $i, beyond the grid extent $extent")
+      i += 1
+    }
+  }
 
   /** Build a PEXESO index for a repository of columns.
     *
@@ -97,25 +125,37 @@ object PexesoIndex {
     require(columns.nonEmpty, "empty repository")
     val t0 = System.nanoTime()
 
-    val all: IndexedSeq[Array[Double]] =
-      columns.iterator.flatMap(_.vectors).toIndexedSeq
-    val pivots = PivotSelection.pcaPivots(PivotSelection.sample(all, pivotSample), numPivots)
+    val all: Array[Array[Double]] = columns.iterator.flatMap(_.vectors).toArray
+    val dim = all(0).length
+    all.foreach(checkVector(_, dim, "repository vector"))
+    require(all.length.toLong * math.max(dim, numPivots) <= Int.MaxValue,
+      s"${all.length} vectors of dimension $dim do not fit one flat index")
+    val pivots = PivotSelection.pcaPivots(
+      PivotSelection.sample(scala.collection.immutable.ArraySeq.unsafeWrapArray(all), pivotSample), numPivots)
 
-    val grid = new HierarchicalGrid(numPivots, levels, extent)
-    val entries = mutable.HashMap.empty[CellKey, mutable.ArrayBuffer[Posting]]
-    columns.foreach { col =>
-      col.vectors.foreach { v =>
-        val mapped = pivots.map(v)
-        val leaf = grid.insert(mapped, -1)
-        entries.getOrElseUpdate(leaf.key, mutable.ArrayBuffer.empty) +=
-          Posting(col.colId, mapped, v)
+    val colIds = columns.iterator.map(_.colId).toArray.distinct.sorted
+    // a lake of fewer than numPivots distinct vectors yields fewer pivots
+    val grid = new HierarchicalGrid(pivots.numPivots, levels, extent)
+    val cell = new Array[Int](all.length)
+    val col = new Array[Int](all.length)
+    val mapped = new Array[Array[Double]](all.length)
+    var p = 0
+    columns.foreach { c =>
+      val k = java.util.Arrays.binarySearch(colIds, c.colId)
+      c.vectors.foreach { v =>
+        val m = pivots.map(v)
+        checkMapped(m, extent, "repository vector")
+        mapped(p) = m
+        cell(p) = grid.insert(m, -1).id
+        col(p) = k
+        p += 1
       }
     }
-    val inverted = InvertedIndex.build(entries)
+    val inverted = InvertedIndex.build(grid, colIds, cell, col, mapped, all)
     val t1 = System.nanoTime()
 
     new PexesoIndex(
-      pivots, levels, grid, inverted,
+      pivots, levels, inverted,
       columns.map(c => c.colId -> c.size).toMap,
       buildNanos = t1 - t0,
     )

@@ -1,9 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-import repro.embed.VectorOps
-import repro.core.HierarchicalGrid.CellKey
-
 /** Verification (paper Algorithm 2).
   *
   * Consumes the blocking output and the inverted index, maintains the
@@ -17,8 +13,10 @@ import repro.core.HierarchicalGrid.CellKey
   *   - Lemma 7: a column that can no longer reach `T` even if all its
   *     remaining candidate query vectors matched is abandoned.
   *
-  * The candidate pairs are re-grouped by column (DaaT: each column is a
-  * "document") so both terminations apply as early as possible.
+  * The candidate pairs are re-grouped by query vector and walked over the
+  * cells' column segments (DaaT: each column is a "document") so both
+  * terminations apply as early as possible. All per-search state lives in
+  * primitive arrays indexed by dense column.
   */
 object Verify {
 
@@ -26,8 +24,84 @@ object Verify {
   def absThreshold(tFrac: Double, qSize: Int): Int =
     math.max(1, math.ceil(tFrac * qSize - 1e-9).toInt)
 
+  /** The largest double `t` with `sqrt(t) <= tau` (`tau >= 0`). Since
+    * `sqrt` is correctly rounded and monotone, a sum of squares `s` has
+    * `s <= t` exactly when `math.sqrt(s) <= tau`: comparing squared
+    * distances with `t` decides `d <= τ` as `VectorOps.euclidean` would.
+    */
+  def sqThreshold(tau: Double): Double =
+    if (!(tau >= 0)) Double.NegativeInfinity
+    else if (tau == Double.PositiveInfinity) tau
+    else {
+      var t = tau * tau
+      while (math.sqrt(t) > tau) t = math.nextDown(t)
+      while (math.sqrt(math.nextUp(t)) <= tau) t = math.nextUp(t)
+      t
+    }
+
   final class Stats {
     var distanceComputations: Long = 0L
+  }
+
+  /** Per-search match state: one bit per (column, q) and a distinct match
+    * count per column.
+    */
+  private final class Matches(numCols: Int, numQ: Int, tAbs: Int) {
+    private val words = (numQ + 63) >>> 6
+    private val bits = new Array[Long](numCols * words)
+    val count = new Array[Int](numCols)
+
+    def has(col: Int, q: Int): Boolean =
+      (bits(col * words + (q >>> 6)) & (1L << q)) != 0
+
+    /** Record that q matches col. */
+    def add(col: Int, q: Int): Unit = {
+      val w = col * words + (q >>> 6)
+      val bit = 1L << q
+      if ((bits(w) & bit) == 0) { bits(w) |= bit; count(col) += 1 }
+    }
+
+    def joinable(col: Int): Boolean = count(col) >= tAbs
+
+    /** Ids of the joinable columns. */
+    def result(index: InvertedIndex): Set[Int] = {
+      val b = Set.newBuilder[Int]
+      var c = 0
+      while (c < numCols) { if (joinable(c)) b += index.colIds(c); c += 1 }
+      b.result()
+    }
+  }
+
+  /** Matching pairs: every vector in the cell matches q, so q is matched
+    * for every column present in the cell.
+    */
+  private def addMatching(block: BlockResult, index: InvertedIndex, m: Matches): Unit = {
+    val pairs = block.matchingPairs
+    var i = 0
+    while (i < pairs.size) {
+      val q = pairs.q(i)
+      val cell = pairs.cell(i)
+      var s = index.cellSeg(cell)
+      while (s < index.cellSeg(cell + 1)) { m.add(index.segCol(s), q); s += 1 }
+      i += 1
+    }
+  }
+
+  /** Whether `q` is within `t` (a [[sqThreshold]]) of posting `p`: the
+    * squared distance summed in coordinate order, stopping once it passes
+    * `t`, since the running sum only grows.
+    */
+  private def within(q: Array[Double], vectors: Array[Double], p: Int, t: Double): Boolean = {
+    val dim = q.length
+    val off = p * dim
+    var s = 0.0
+    var i = 0
+    while (i < dim && s <= t) {
+      val d = q(i) - vectors(off + i)
+      s += d * d
+      i += 1
+    }
+    s <= t
   }
 
   /** PEXESO verification (inverted-index + DaaT + Lemmas 1, 2, 7). */
@@ -39,83 +113,95 @@ object Verify {
       tau: Double,
       tAbs: Int,
   ): (Set[Int], Stats) = {
-    val stats    = new Stats
-    val matched  = mutable.HashMap.empty[Int, mutable.BitSet]
-    val joinable = mutable.HashSet.empty[Int]
+    val stats = new Stats
+    val numQ = queryMapped.length
+    val numCols = index.numColumns
+    val m = new Matches(numCols, numQ, tAbs)
+    addMatching(block, index, m)
 
-    def matchQ(col: Int, q: Int): Unit = {
-      val set = matched.getOrElseUpdate(col, mutable.BitSet.empty)
-      set += q
-      if (set.size >= tAbs) joinable += col
-    }
-
-    // Matching pairs: every vector in the cell matches q, so q is matched
-    // for every column present in the cell.
-    block.matching.foreach { case (q, cell) =>
-      index.columnsIn(cell).foreach(col => matchQ(col, q))
-    }
+    // Candidate pairs grouped by q with a stable counting sort: each q's
+    // cells stay in blocking order.
+    val pairs = block.candidatePairs
+    val qStart = new Array[Int](numQ + 1)
+    var i = 0
+    while (i < pairs.size) { qStart(pairs.q(i) + 1) += 1; i += 1 }
+    var q = 0
+    while (q < numQ) { qStart(q + 1) += qStart(q); q += 1 }
+    val fill = qStart.clone()
+    val cells = new Array[Int](pairs.size)
+    i = 0
+    while (i < pairs.size) { val pq = pairs.q(i); cells(fill(pq)) = pairs.cell(i); fill(pq) += 1; i += 1 }
 
     // DaaT verification as in the paper (Fig. 4): candidate pairs are
     // walked per query vector; each cell's postings are sorted by column,
     // so one pass over a cell processes its columns ("documents")
-    // consecutively. A mismatch map feeds Lemma 7: once |Q| − mismatches
+    // consecutively. Mismatch counts feed Lemma 7: once |Q| − mismatches
     // cannot reach T, the column's remaining postings are skipped.
-    val mismatch = mutable.HashMap.empty[Int, Int]
-    val numQ = queryMapped.length
-    val sorted = block.candidates.sortInPlaceBy(_._1)
-
-    var i = 0
-    while (i < sorted.length) {
-      val q = sorted(i)._1
-      var j = i
-      while (j < sorted.length && sorted(j)._1 == q) j += 1
+    // `seenAt` / `hitAt` hold q + 1 for the columns q touched / matched.
+    val mismatch = new Array[Int](numCols)
+    val seenAt = new Array[Int](numCols)
+    val hitAt = new Array[Int](numCols)
+    val seen = new Array[Int](numCols)
+    val np = index.numPivots
+    val mapped = index.mapped
+    val vectors = index.vectors
+    val t = sqThreshold(tau)
+    q = 0
+    while (q < numQ) {
+      val stamp = q + 1
       val qm = queryMapped(q)
       val qo = queryOriginal(q)
-      // columns this q touched / matched within its candidate cells
-      val seen = mutable.HashSet.empty[Int]
-      val matchedCols = mutable.HashSet.empty[Int]
-      var ci = i
-      while (ci < j) {
-        val posts = index.postingsIn(sorted(ci)._2)
-        var pi = 0
-        while (pi < posts.length) {
-          val col = posts(pi).colId
-          // end of this column's segment inside the cell
-          var segEnd = pi
-          while (segEnd < posts.length && posts(segEnd).colId == col) segEnd += 1
-          val skip = joinable.contains(col) ||
-            matchedCols.contains(col) ||
-            matched.get(col).exists(_.contains(q)) ||
-            numQ - mismatch.getOrElse(col, 0) < tAbs // Lemma 7
+      var numSeen = 0
+      var ci = qStart(q)
+      while (ci < qStart(q + 1)) {
+        val cell = cells(ci)
+        var s = index.cellSeg(cell)
+        while (s < index.cellSeg(cell + 1)) {
+          val col = index.segCol(s)
+          val skip = m.joinable(col) || hitAt(col) == stamp || m.has(col, q) ||
+            numQ - mismatch(col) < tAbs // Lemma 7
           if (!skip) {
-            seen += col
+            if (seenAt(col) != stamp) { seenAt(col) = stamp; seen(numSeen) = col; numSeen += 1 }
             var found = false
-            var k = pi
-            while (k < segEnd && !found) {
-              val p = posts(k)
-              if (!PivotSpace.filteredByPivots(qm, p.mapped, tau)) {
-                if (PivotSpace.matchedByPivots(qm, p.mapped, tau)) found = true
+            var p = index.segStart(s)
+            while (p < index.segStart(s + 1) && !found) {
+              // Lemma 1 (filtered) takes precedence over Lemma 2 (matched)
+              val off = p * np
+              var filtered = false
+              var matched = false
+              var j = 0
+              while (j < np && !filtered) {
+                val x = mapped(off + j)
+                if (math.abs(qm(j) - x) > tau) filtered = true
+                else if (qm(j) + x <= tau) matched = true
+                j += 1
+              }
+              if (!filtered) {
+                if (matched) found = true
                 else {
                   stats.distanceComputations += 1
-                  if (VectorOps.euclidean(qo, p.original) <= tau) found = true
+                  if (within(qo, vectors, p, t)) found = true
                 }
               }
-              k += 1
+              p += 1
             }
-            if (found) { matchedCols += col; matchQ(col, q) }
+            if (found) { hitAt(col) = stamp; m.count(col) += 1 }
           }
-          pi = segEnd
+          s += 1
         }
         ci += 1
       }
       // q matched nothing of a seen column in any of its cells => mismatch
-      seen.foreach { col =>
-        if (!matchedCols.contains(col)) mismatch(col) = mismatch.getOrElse(col, 0) + 1
+      var k = 0
+      while (k < numSeen) {
+        val col = seen(k)
+        if (hitAt(col) != stamp) mismatch(col) += 1
+        k += 1
       }
-      i = j
+      q += 1
     }
 
-    (joinable.toSet, stats)
+    (m.result(index), stats)
   }
 
   /** PEXESO-H verification (paper Section VI-A): same blocking, but each
@@ -130,35 +216,32 @@ object Verify {
       tau: Double,
       tAbs: Int,
   ): (Set[Int], Stats) = {
-    val stats    = new Stats
-    val matched  = mutable.HashMap.empty[Int, mutable.BitSet]
-    val joinable = mutable.HashSet.empty[Int]
+    val stats = new Stats
+    val m = new Matches(index.numColumns, queryOriginal.length, tAbs)
+    addMatching(block, index, m)
 
-    def matchQ(col: Int, q: Int): Unit = {
-      val set = matched.getOrElseUpdate(col, mutable.BitSet.empty)
-      set += q
-      if (set.size >= tAbs) joinable += col
-    }
-
-    block.matching.foreach { case (q, cell) =>
-      index.columnsIn(cell).foreach(col => matchQ(col, q))
-    }
-
-    block.candidates.foreach { case (q, cell) =>
+    val pairs = block.candidatePairs
+    val vectors = index.vectors
+    val t = sqThreshold(tau)
+    var i = 0
+    while (i < pairs.size) {
+      val q = pairs.q(i)
       val qo = queryOriginal(q)
-      val posts = index.postingsIn(cell)
-      var pi = 0
-      while (pi < posts.length) {
-        val p = posts(pi)
-        if (!joinable.contains(p.colId) &&
-            !matched.get(p.colId).exists(_.contains(q))) {
+      val cell = pairs.cell(i)
+      var s = index.cellSeg(cell)
+      while (s < index.cellSeg(cell + 1)) {
+        val col = index.segCol(s)
+        var p = index.segStart(s)
+        while (p < index.segStart(s + 1) && !m.joinable(col) && !m.has(col, q)) {
           stats.distanceComputations += 1
-          if (VectorOps.euclidean(qo, p.original) <= tau) matchQ(p.colId, q)
+          if (within(qo, vectors, p, t)) m.add(col, q)
+          p += 1
         }
-        pi += 1
+        s += 1
       }
+      i += 1
     }
 
-    (joinable.toSet, stats)
+    (m.result(index), stats)
   }
 }

@@ -1,0 +1,55 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
+
+/** Inputs outside the exactness contract fail at the API boundary of
+  * `PexesoIndex.build` and `search` instead of giving wrong answers.
+  */
+class PexesoInputSpec extends AnyFunSuite {
+
+  private val (cols, query) = TestData.searchInstance(seed = 40)
+  private lazy val index = PexesoIndex.build(cols, 3, 3)
+
+  private def withVector(v: Array[Double]): IndexedSeq[ColumnVectors] =
+    cols :+ ColumnVectors(cols.size, "odd", Array(v))
+
+  private def rejected(f: => Any): Unit = { intercept[IllegalArgumentException](f); () }
+
+  test("build rejects vectors of differing dimension") {
+    rejected(PexesoIndex.build(withVector(Array.fill(query(0).length + 1)(0.1)), 3, 3))
+  }
+
+  test("build rejects a non-finite value") {
+    val v = query(0).clone(); v(1) = Double.NaN
+    rejected(PexesoIndex.build(withVector(v), 3, 3))
+    val w = query(0).clone(); w(0) = Double.PositiveInfinity
+    rejected(PexesoIndex.build(withVector(w), 3, 3))
+  }
+
+  test("build rejects a pivot distance beyond the grid extent") {
+    // norm 5: its distance to any unit-vector pivot exceeds 2
+    rejected(PexesoIndex.build(withVector(query(0).map(_ * 5)), 3, 3))
+    rejected(PexesoIndex.build(cols, 3, 3, extent = 0.5))
+  }
+
+  test("search rejects an empty query") {
+    rejected(index.search(Array.empty[Array[Double]], 0.4, 0.5))
+  }
+
+  test("search rejects a query of another dimension") {
+    rejected(index.search(Array(Array.fill(query(0).length - 1)(0.1)), 0.4, 0.5))
+  }
+
+  test("search rejects a non-finite query value") {
+    val q = query.map(_.clone()); q(2)(0) = Double.NaN
+    rejected(index.search(q, 0.4, 0.5))
+    q(2)(0) = Double.NegativeInfinity
+    rejected(index.search(q, 0.4, 0.5))
+  }
+
+  test("search rejects a query whose pivot distance is beyond the grid extent") {
+    val q = query.map(_.clone()); q(0) = q(0).map(_ * 5)
+    rejected(index.search(q, 0.4, 0.5))
+  }
+}

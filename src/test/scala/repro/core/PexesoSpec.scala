@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.baselines.NaiveSearch
+import repro.embed.VectorOps
 
 /** End-to-end exactness of PEXESO (Algorithm 3): the joinable set must
   * equal the brute-force reference on randomized instances across every
@@ -108,5 +109,23 @@ class PexesoSpec extends AnyFunSuite {
     val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
     val back = ois.readObject().asInstanceOf[PexesoIndex]
     assert(back.search(query, 0.4, 0.5).joinable == index.search(query, 0.4, 0.5).joinable)
+  }
+
+  test("a repository vector at exactly d = tau matches in both verify modes") {
+    // 0.75 - 0.5 = 0.25 and 0.25² = 0.0625 are exact in binary: d = τ exactly
+    val tau = 0.25
+    val query = Array(Array(0.5, 0.5, 0.0))
+    val cols = IndexedSeq(
+      ColumnVectors(0, "tie", Array(Array(0.75, 0.5, 0.0), Array(0.0, 0.0, 0.9))),
+      ColumnVectors(1, "far", Array(Array(0.0, 0.9, 0.0), Array(0.9, 0.0, 0.3))),
+    )
+    assert(VectorOps.euclidean(query(0), cols(0).vectors(0)) == tau)
+    val want = NaiveSearch.search(cols, query, tau, 1.0).joinable
+    assert(want == Set(0))
+    for (p <- 1 to 3; m <- 1 to 4; mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH);
+         qb <- Seq(true, false)) {
+      val got = PexesoIndex.build(cols, p, m).search(query, tau, 1.0, mode, qb).joinable
+      assert(got == want, s"|P|=$p m=$m mode=$mode qb=$qb")
+    }
   }
 }

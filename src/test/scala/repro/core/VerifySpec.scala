@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 
 class VerifySpec extends AnyFunSuite {
 
@@ -25,5 +26,20 @@ class VerifySpec extends AnyFunSuite {
 
   test("absThreshold: T=100% requires every query vector") {
     (1 to 20).foreach(n => assert(Verify.absThreshold(1.0, n) == n))
+  }
+
+  test("sqThreshold: s <= t exactly when sqrt(s) <= tau, around t") {
+    // 0.12 and 0.06·2 are not representable in binary; the random sweep
+    // covers the rest of [0, 2.5]
+    val rng = new Random(5)
+    val taus = Seq(0.0, Double.MinPositiveValue, 1e-300, 1e-9, 0.06 * 2, 0.12, 0.1, 0.25,
+      1.0 / 3, 0.5, 1.0, math.sqrt(2), 2.0, 2.0 + 1e-6, 1e10, 1e200) ++
+      Seq.fill(2000)(rng.nextDouble() * 2.5)
+    taus.foreach { tau =>
+      val t = Verify.sqThreshold(tau)
+      Seq(t, math.nextUp(t), math.nextDown(t)).filter(_ >= 0).foreach { s =>
+        assert((s <= t) == (math.sqrt(s) <= tau), s"tau=$tau t=$t s=$s")
+      }
+    }
   }
 }

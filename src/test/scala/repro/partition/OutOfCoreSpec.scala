@@ -70,4 +70,17 @@ class OutOfCoreSpec extends AnyFunSuite {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
     }
   }
+
+  test("a spilled search reports its load time on its own") {
+    val (cols, query) = TestData.searchInstance(seed = 94)
+    val dir = Files.createTempDirectory("pexeso-ooc5")
+    try {
+      val spilled = OutOfCore.buildAndSpill(Partitioners.split(cols, Partitioners.random(cols, 2)), 2, 2, dir)
+      val r = OutOfCore.search(spilled, query, 0.4, 0.5)
+      assert(r.loadNanos > 0)
+      assert(r.totalNanos == r.blockNanos + r.verifyNanos + r.loadNanos)
+    } finally {
+      dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
+    }
+  }
 }
