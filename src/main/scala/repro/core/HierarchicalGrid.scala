@@ -22,7 +22,7 @@ final class HierarchicalGrid(
     val numDims: Int,
     val levels: Int,
     val extent: Double = HierarchicalGrid.DefaultExtent,
-) extends Serializable {
+) {
   require(numDims >= 1 && levels >= 1, s"bad grid shape: dims=$numDims levels=$levels")
 
   import HierarchicalGrid.CellKey
@@ -109,7 +109,7 @@ final class HierarchicalGrid(
   /** A grid cell. `coords` are absolute per-dimension indices at `level`;
     * the root is level 0 with empty coords.
     */
-  final class GridNode(val level: Int, val coords: Array[Int]) extends Serializable {
+  final class GridNode(val level: Int, val coords: Array[Int]) {
     val children: mutable.HashMap[CellKey, GridNode] = mutable.HashMap.empty
     /** Query vector indices (HG_Q leaves only). */
     val payloads: mutable.ArrayBuffer[Int] = new mutable.ArrayBuffer[Int](0)

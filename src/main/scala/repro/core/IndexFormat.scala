@@ -1,0 +1,256 @@
+package repro.core
+
+import java.io.{ByteArrayOutputStream, IOException}
+import java.nio.{ByteBuffer, ByteOrder}
+import java.nio.channels.{Channels, FileChannel, WritableByteChannel}
+import java.nio.file.{Path, StandardOpenOption}
+import java.util.zip.CRC32C
+
+/** The binary format of a [[PexesoIndex]]: the out-of-core spill files
+  * (paper Section IV) and, wrapped in a byte array, its Java serialization.
+  *
+  * Little-endian throughout. A 56-byte header:
+  *
+  * {{{
+  *   0  int    magic "PXSO"         28  int    segments
+  *   4  int    version              32  int    postings
+  *   8  int    dim                  36  int    0 (padding)
+  *  12  int    |P| (pivots)         40  double extent
+  *  16  int    m (levels)           48  long   buildNanos
+  *  20  int    columns
+  *  24  int    leaf cells
+  * }}}
+  *
+  * then the body, the index's flat arrays as raw primitives: pivots
+  * (`|P|·dim` doubles, row-major), `colIds`, `cellCoords`, `cellSeg`,
+  * `segCol`, `segStart` (ints), 0 or 4 bytes of padding to an 8-byte
+  * boundary, `mapped` and `vectors` (doubles). Last comes the CRC32C of
+  * everything before it, header included.
+  *
+  * A read checks, in order, the magic, the version, that the file size is
+  * the one the header implies, and the checksum; a failure is an
+  * `IOException` naming the source and the check. `HG_SV` is not stored:
+  * it is rebuilt from `cellCoords` with the same leaf ids.
+  */
+object IndexFormat {
+
+  /** "PXSO" in file byte order. */
+  val Magic: Int = 0x4f535850
+  val Version: Int = 1
+  val HeaderBytes: Int = 56
+
+  /** Arrays are copied and checksummed in slices of this many bytes, small
+    * enough to stay in cache between the two passes.
+    */
+  private val SliceBytes = 1 << 18
+
+  /** Bytes of an index with these header fields, or -1 if they are invalid. */
+  private def sizeOf(dim: Int, np: Int, levels: Int, cols: Int, cells: Int, segs: Int, posts: Int): Long =
+    if (dim < 1 || np < 1 || levels < 1 || cols < 0 || cells < 0 || segs < 0 || posts < 0 ||
+        Seq(np.toLong * dim, cells.toLong * np, posts.toLong * np, posts.toLong * dim).exists(_ > Int.MaxValue)) -1L
+    else {
+      val ints = intCount(np, cols, cells, segs)
+      HeaderBytes + 8L * np * dim + 4L * ints + padAfter(ints) + 8L * posts * (np + dim) + 4L
+    }
+
+  private def intCount(np: Int, cols: Int, cells: Int, segs: Int): Long =
+    cols.toLong + cells.toLong * np + (cells + 1L) + segs + (segs + 1L)
+
+  private def padAfter(ints: Long): Int = if (ints % 2 == 0) 0 else 4
+
+  // ---- write ----
+
+  /** Write `index` to `path`, replacing any file there. */
+  def write(index: PexesoIndex, path: Path): Unit = {
+    val ch = FileChannel.open(path, StandardOpenOption.CREATE, StandardOpenOption.WRITE,
+      StandardOpenOption.TRUNCATE_EXISTING)
+    try write(index, ch) finally ch.close()
+  }
+
+  private[core] def toBytes(index: PexesoIndex): Array[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    write(index, Channels.newChannel(bos))
+    bos.toByteArray
+  }
+
+  private def write(index: PexesoIndex, ch: WritableByteChannel): Unit = {
+    val inv = index.inverted
+    val out = new Writer(ch)
+    val h = out.buf
+    h.putInt(Magic).putInt(Version).putInt(inv.dim).putInt(inv.numPivots).putInt(inv.levels)
+      .putInt(inv.numColumns).putInt(inv.numCells).putInt(inv.segCol.length).putInt(inv.segStart.last)
+      .putInt(0).putDouble(inv.extent).putLong(index.buildNanos)
+    index.pivots.pivots.foreach(out.doubles)
+    val ints = Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart)
+    ints.foreach(out.ints)
+    if (padAfter(ints.map(_.length.toLong).sum) != 0) out.ints(new Array[Int](1))
+    out.doubles(inv.mapped)
+    out.doubles(inv.vectors)
+    out.finish()
+  }
+
+  /** Buffers writes to `ch` and checksums what passes through. */
+  private final class Writer(ch: WritableByteChannel) {
+    val buf: ByteBuffer = ByteBuffer.allocateDirect(SliceBytes).order(ByteOrder.LITTLE_ENDIAN)
+    private val crc = new CRC32C
+
+    private def flush(): Unit = {
+      buf.flip()
+      crc.update(buf)
+      buf.rewind()
+      while (buf.hasRemaining) ch.write(buf)
+      buf.clear()
+    }
+
+    def doubles(a: Array[Double]): Unit = {
+      var i = 0
+      while (i < a.length) {
+        if (buf.remaining < 8) flush()
+        val k = math.min(a.length - i, buf.remaining / 8)
+        buf.asDoubleBuffer().put(a, i, k)
+        buf.position(buf.position() + 8 * k)
+        i += k
+      }
+    }
+
+    def ints(a: Array[Int]): Unit = {
+      var i = 0
+      while (i < a.length) {
+        if (buf.remaining < 4) flush()
+        val k = math.min(a.length - i, buf.remaining / 4)
+        buf.asIntBuffer().put(a, i, k)
+        buf.position(buf.position() + 4 * k)
+        i += k
+      }
+    }
+
+    def finish(): Unit = {
+      flush()
+      buf.putInt(crc.getValue.toInt)
+      buf.flip()
+      while (buf.hasRemaining) ch.write(buf)
+    }
+  }
+
+  // ---- read ----
+
+  /** Read the index in `path`, memory-mapped. */
+  def read(path: Path): PexesoIndex = {
+    val ch = FileChannel.open(path, StandardOpenOption.READ)
+    try {
+      val size = ch.size()
+      val header = ByteBuffer.allocate(HeaderBytes)
+      while (header.hasRemaining && ch.read(header, header.position().toLong) > 0) {}
+      header.flip()
+      read(path.toString, size, header, new Mapped(ch, size))
+    } finally ch.close()
+  }
+
+  private[core] def fromBytes(bytes: Array[Byte], name: String): PexesoIndex = {
+    val all = ByteBuffer.wrap(bytes)
+    read(name, bytes.length.toLong, all.slice(0, math.min(bytes.length, HeaderBytes)),
+      (off, len) => all.slice(off.toInt, len))
+  }
+
+  /** Little-endian bytes `[off, off + len)` of the source. */
+  private trait Source { def apply(off: Long, len: Int): ByteBuffer }
+
+  /** A file mapped in windows of up to 1 GiB, so that indexes over 2 GiB,
+    * which one mapping cannot hold, read too.
+    */
+  private final class Mapped(ch: FileChannel, size: Long) extends Source {
+    private val WindowBytes = 1L << 30
+    private var winStart = 0L
+    private var win: ByteBuffer = ByteBuffer.allocate(0)
+
+    def apply(off: Long, len: Int): ByteBuffer = {
+      if (off < winStart || off + len > winStart + win.capacity) {
+        winStart = off
+        win = ch.map(FileChannel.MapMode.READ_ONLY, off, math.min(size - off, WindowBytes))
+      }
+      win.slice((off - winStart).toInt, len)
+    }
+  }
+
+  private def read(name: String, size: Long, header: ByteBuffer, src: Source): PexesoIndex = {
+    def fail(check: String): Nothing = throw new IOException(s"$name: $check")
+    val h = header.order(ByteOrder.LITTLE_ENDIAN)
+    val hex = (i: Int) => f"0x$i%08x"
+    if (h.remaining < 4) fail(s"bad magic: $size bytes hold none (not a PEXESO index file)")
+    if (h.getInt(0) != Magic) fail(s"bad magic ${hex(h.getInt(0))}, expected ${hex(Magic)} (not a PEXESO index file)")
+    val version = if (h.remaining >= 8) h.getInt(4) else 0
+    if (version != Version) fail(s"unsupported format version $version, this reader reads version $Version")
+    if (h.remaining < HeaderBytes) fail(s"size $size bytes is shorter than the $HeaderBytes-byte header")
+    val dim = h.getInt(8); val np = h.getInt(12); val levels = h.getInt(16)
+    val cols = h.getInt(20); val cells = h.getInt(24); val segs = h.getInt(28); val posts = h.getInt(32)
+    val implied = sizeOf(dim, np, levels, cols, cells, segs, posts)
+    if (implied < 0) fail(s"invalid header counts: dim=$dim |P|=$np m=$levels columns=$cols cells=$cells segments=$segs postings=$posts")
+    if (size != implied) fail(s"size $size bytes, the header implies $implied")
+
+    val in = new Reader(src, h)
+    val pivots = Array.fill(np)(in.doubles(dim))
+    val colIds = in.ints(cols)
+    val cellCoords = in.ints(cells * np)
+    val cellSeg = in.ints(cells + 1)
+    val segCol = in.ints(segs)
+    val segStart = in.ints(segs + 1)
+    in.skip(padAfter(intCount(np, cols, cells, segs)))
+    val mapped = in.doubles(posts * np)
+    val vectors = in.doubles(posts * dim)
+    val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
+    val computed = in.checksum
+    if (stored != computed) fail(s"checksum mismatch: stored ${hex(stored)}, computed ${hex(computed)}")
+
+    val inverted = InvertedIndex.fromArrays(np, dim, levels, h.getDouble(40), colIds, cellCoords,
+      cellSeg, segCol, segStart, mapped, vectors)
+    new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
+  }
+
+  /** Reads the body in order, checksumming the header and every byte read. */
+  private final class Reader(src: Source, header: ByteBuffer) {
+    private val crc = new CRC32C
+    crc.update(header.duplicate())
+    private var off = HeaderBytes.toLong
+
+    def checksum: Int = crc.getValue.toInt
+
+    private def next(bytes: Int): ByteBuffer = {
+      val b = src(off, bytes).order(ByteOrder.LITTLE_ENDIAN)
+      crc.update(b)
+      off += bytes
+      b.rewind()
+    }
+
+    def skip(bytes: Int): Unit = if (bytes > 0) next(bytes)
+
+    def doubles(n: Int): Array[Double] = {
+      val out = new Array[Double](n)
+      var i = 0
+      while (i < n) {
+        val k = math.min(n - i, SliceBytes / 8)
+        next(8 * k).asDoubleBuffer().get(out, i, k)
+        i += k
+      }
+      out
+    }
+
+    def ints(n: Int): Array[Int] = {
+      val out = new Array[Int](n)
+      var i = 0
+      while (i < n) {
+        val k = math.min(n - i, SliceBytes / 4)
+        next(4 * k).asIntBuffer().get(out, i, k)
+        i += k
+      }
+      out
+    }
+  }
+
+  /** The Java serialization form of a [[PexesoIndex]]: its bytes in this
+    * format, so serialization has no second layout.
+    */
+  @SerialVersionUID(1L)
+  private[core] final class Serialized(bytes: Array[Byte]) extends Serializable {
+    private def readResolve(): AnyRef = fromBytes(bytes, "serialized PexesoIndex")
+  }
+}

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.io.ObjectInputStream
 import scala.collection.mutable
 import repro.core.HierarchicalGrid.CellKey
 
@@ -19,18 +18,15 @@ import repro.core.HierarchicalGrid.CellKey
   * `mapped(p·numPivots until (p+1)·numPivots)` and its vector
   * `vectors(p·dim until (p+1)·dim)`.
   *
-  * The grid `HG_SV` is not serialized: it is rebuilt from the leaf
-  * coordinates when the index is read back, with the same leaf ids.
+  * [[IndexFormat]] stores these arrays; `HG_SV` is rebuilt from the leaf
+  * coordinates when an index is read back, with the same leaf ids.
   */
-final class InvertedIndex private[core] (
-    val numPivots: Int,
+final class InvertedIndex private (
     val dim: Int,
-    val levels: Int,
-    val extent: Double,
     /** ids of the dense columns, ascending */
     val colIds: Array[Int],
     /** leaf coordinates of cell c: `cellCoords(c·numPivots until (c+1)·numPivots)` */
-    cellCoords: Array[Int],
+    private[core] val cellCoords: Array[Int],
     /** segments of cell c: `cellSeg(c) until cellSeg(c + 1)` */
     val cellSeg: Array[Int],
     /** dense column of segment s */
@@ -39,12 +35,13 @@ final class InvertedIndex private[core] (
     val segStart: Array[Int],
     val mapped: Array[Double],
     val vectors: Array[Double],
-    @transient private var hgS: HierarchicalGrid,
-) extends Serializable {
+    /** `HG_SV`: its leaf with id c is cell c of this index. */
+    val grid: HierarchicalGrid,
+) {
 
-  /** `HG_SV`: its leaf with id c is cell c of this index. */
-  def grid: HierarchicalGrid = hgS
-
+  def numPivots: Int = grid.numDims
+  def levels: Int = grid.levels
+  def extent: Double = grid.extent
   def numCells: Int = cellSeg.length - 1
   def numColumns: Int = colIds.length
 
@@ -53,26 +50,34 @@ final class InvertedIndex private[core] (
     case Some(l) => segStart(cellSeg(l.id)) until segStart(cellSeg(l.id + 1))
     case None    => Range(0, 0)
   }
-
-  private def readObject(in: ObjectInputStream): Unit = {
-    in.defaultReadObject()
-    hgS = InvertedIndex.gridOf(numPivots, levels, extent, cellCoords)
-  }
 }
 
 object InvertedIndex {
 
-  /** Grid whose leaf c has coordinates `cellCoords(c·dims until (c+1)·dims)`:
-    * inserting the leaves in id order gives each its id back.
+  /** An index read back from its arrays. `HG_SV` is rebuilt with leaf c at
+    * `cellCoords(c·numPivots until (c+1)·numPivots)`: inserting the leaves
+    * in id order gives each its id back.
     */
-  private def gridOf(dims: Int, levels: Int, extent: Double, cellCoords: Array[Int]): HierarchicalGrid = {
-    val grid = new HierarchicalGrid(dims, levels, extent)
+  private[core] def fromArrays(
+      numPivots: Int,
+      dim: Int,
+      levels: Int,
+      extent: Double,
+      colIds: Array[Int],
+      cellCoords: Array[Int],
+      cellSeg: Array[Int],
+      segCol: Array[Int],
+      segStart: Array[Int],
+      mapped: Array[Double],
+      vectors: Array[Double],
+  ): InvertedIndex = {
+    val grid = new HierarchicalGrid(numPivots, levels, extent)
     var c = 0
-    while (c * dims < cellCoords.length) {
-      grid.insertLeaf(java.util.Arrays.copyOfRange(cellCoords, c * dims, (c + 1) * dims))
+    while (c * numPivots < cellCoords.length) {
+      grid.insertLeaf(java.util.Arrays.copyOfRange(cellCoords, c * numPivots, (c + 1) * numPivots))
       c += 1
     }
-    grid
+    new InvertedIndex(dim, colIds, cellCoords, cellSeg, segCol, segStart, mapped, vectors, grid)
   }
 
   /** `in` reordered stably by `key(in(i))` ∈ `[0, numKeys)`, and the
@@ -154,7 +159,7 @@ object InvertedIndex {
     c = 0
     while (c < numCells) { System.arraycopy(grid.leafAt(c).coords, 0, cellCoords, c * np, np); c += 1 }
 
-    new InvertedIndex(np, dim, grid.levels, grid.extent, colIds, cellCoords,
-      cellSeg, segCol.result(), segStart.result(), flatMapped, flatVecs, grid)
+    new InvertedIndex(dim, colIds, cellCoords, cellSeg, segCol.result(), segStart.result(),
+      flatMapped, flatVecs, grid)
   }
 }

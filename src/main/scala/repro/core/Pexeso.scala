@@ -14,9 +14,9 @@ object VerifyMode {
   * selected pivots, the hierarchical grid `HG_SV` over mapped repository
   * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
   *
-  * Serializable so the out-of-core path (Section IV) can spill one index
-  * per partition to disk and load them back one at a time; the index is
-  * flat arrays, and `HG_SV` is rebuilt from its leaf cells on load.
+  * The out-of-core path (Section IV) spills one index per partition to
+  * disk in [[IndexFormat]] and loads them back one at a time; Java
+  * serialization writes the same bytes.
   *
   * Inputs are checked once at the API boundary: every vector must have the
   * index's dimension and finite values, and every pivot distance must lie
@@ -25,15 +25,16 @@ object VerifyMode {
   */
 final class PexesoIndex(
     val pivots: PivotSet,
-    val levels: Int,
     val inverted: InvertedIndex,
-    val columnSizes: Map[Int, Int],
     val buildNanos: Long,
 ) extends Serializable {
 
   def numPivots: Int = pivots.numPivots
-  def numColumns: Int = columnSizes.size
+  def levels: Int = inverted.levels
+  def numColumns: Int = inverted.numColumns
   def grid: HierarchicalGrid = inverted.grid
+
+  private def writeReplace(): AnyRef = new IndexFormat.Serialized(IndexFormat.toBytes(this))
 
   /** Joinable column search (paper Algorithm 3).
     *
@@ -154,10 +155,6 @@ object PexesoIndex {
     val inverted = InvertedIndex.build(grid, colIds, cell, col, mapped, all)
     val t1 = System.nanoTime()
 
-    new PexesoIndex(
-      pivots, levels, inverted,
-      columns.map(c => c.colId -> c.size).toMap,
-      buildNanos = t1 - t0,
-    )
+    new PexesoIndex(pivots, inverted, buildNanos = t1 - t0)
   }
 }

@@ -1,8 +1,7 @@
 package repro.partition
 
-import java.io._
-import java.nio.file.{Files, Path}
-import repro.core.{ColumnVectors, PexesoIndex, SearchResult, VerifyMode}
+import java.nio.file.{Files, Path, StandardCopyOption}
+import repro.core.{ColumnVectors, IndexFormat, PexesoIndex, SearchResult, VerifyMode}
 
 /** Out-of-core joinable table search (paper Section IV): when the lake's
   * index does not fit in memory, each partition is indexed by its own
@@ -16,7 +15,11 @@ object OutOfCore {
   /** Handle to a spilled per-partition index. */
   final case class SpilledIndex(partition: Int, path: Path, numColumns: Int)
 
-  /** Build one PEXESO per partition and serialize it to `dir`. */
+  /** Build one PEXESO per partition and write it to `dir` in
+    * [[IndexFormat]]. Each file is written under a `.tmp` name and renamed
+    * into place, so an interrupted spill leaves no partial index file under
+    * its final name.
+    */
   def buildAndSpill(
       parts: Map[Int, IndexedSeq[ColumnVectors]],
       numPivots: Int,
@@ -27,16 +30,19 @@ object OutOfCore {
     parts.toSeq.sortBy(_._1).map { case (p, cols) =>
       val index = PexesoIndex.build(cols, numPivots, levels)
       val path = dir.resolve(s"pexeso-part-$p.bin")
-      val oos = new ObjectOutputStream(new BufferedOutputStream(Files.newOutputStream(path)))
-      try oos.writeObject(index) finally oos.close()
+      val tmp = dir.resolve(s"pexeso-part-$p.bin.tmp")
+      try {
+        IndexFormat.write(index, tmp)
+        Files.move(tmp, path, StandardCopyOption.ATOMIC_MOVE)
+      } finally Files.deleteIfExists(tmp)
       SpilledIndex(p, path, cols.size)
     }
   }
 
-  def load(spilled: SpilledIndex): PexesoIndex = {
-    val ois = new ObjectInputStream(new BufferedInputStream(Files.newInputStream(spilled.path)))
-    try ois.readObject().asInstanceOf[PexesoIndex] finally ois.close()
-  }
+  /** Read a spilled index back; a truncated, corrupt or foreign file fails
+    * with an `IOException` naming the file and the check.
+    */
+  def load(spilled: SpilledIndex): PexesoIndex = IndexFormat.read(spilled.path)
 
   /** Batched search: load each partition once, run every query column
     * against it, merge per-query joinable sets. This is the natural

@@ -15,21 +15,7 @@ import repro.baselines.NaiveSearch
   * verify modes, quick browsing on and off.
   */
 class PexesoPropertySpec extends AnyFunSuite {
-  import PexesoPropertySpec.Case
-
-  private val genCase: Gen[Case] = for {
-    seed <- Gen.choose(0L, Long.MaxValue)
-    dim <- Gen.choose(2, 8)
-    numCols <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(2, 8))
-    colSize <- Gen.choose(1, 12)
-    qSize <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(2, 10))
-    numPivots <- Gen.choose(1, 5)
-    levels <- Gen.choose(1, 6)
-    tau <- Gen.oneOf(Gen.const(0.0), Gen.choose(0.01, 0.3), Gen.const(2.0))
-    tOne <- Gen.oneOf(true, false)
-    mode <- Gen.oneOf(VerifyMode.Pexeso, VerifyMode.PexesoH)
-    quickBrowsing <- Gen.oneOf(true, false)
-  } yield Case(seed, dim, numCols, colSize, qSize, numPivots, levels, tau, tOne, mode, quickBrowsing)
+  import PexesoPropertySpec.genCase
 
   test("PEXESO search equals NaiveSearch on random unit-vector lakes") {
     val prop = Prop.forAllNoShrink(genCase) { c =>
@@ -48,6 +34,20 @@ class PexesoPropertySpec extends AnyFunSuite {
 }
 
 object PexesoPropertySpec {
+
+  val genCase: Gen[Case] = for {
+    seed <- Gen.choose(0L, Long.MaxValue)
+    dim <- Gen.choose(2, 8)
+    numCols <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(2, 8))
+    colSize <- Gen.choose(1, 12)
+    qSize <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(2, 10))
+    numPivots <- Gen.choose(1, 5)
+    levels <- Gen.choose(1, 6)
+    tau <- Gen.oneOf(Gen.const(0.0), Gen.choose(0.01, 0.3), Gen.const(2.0))
+    tOne <- Gen.oneOf(true, false)
+    mode <- Gen.oneOf(VerifyMode.Pexeso, VerifyMode.PexesoH)
+    quickBrowsing <- Gen.oneOf(true, false)
+  } yield Case(seed, dim, numCols, colSize, qSize, numPivots, levels, tau, tOne, mode, quickBrowsing)
 
   final case class Case(
       seed: Long,

@@ -1,11 +1,13 @@
 package repro.partition
 
-import java.nio.file.Files
+import java.io.IOException
+import java.nio.{ByteBuffer, ByteOrder}
+import java.nio.file.{Files, Path}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.TestData
 import repro.baselines.NaiveSearch
-import repro.core.VerifyMode
+import repro.core.{IndexFormat, VerifyMode}
 
 class OutOfCoreSpec extends AnyFunSuite {
 
@@ -82,5 +84,63 @@ class OutOfCoreSpec extends AnyFunSuite {
     } finally {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
     }
+  }
+
+  test("a spill leaves only the finished index files") {
+    val (cols, _) = TestData.searchInstance(seed = 95)
+    val dir = Files.createTempDirectory("pexeso-ooc6")
+    try {
+      val spilled = OutOfCore.buildAndSpill(Partitioners.split(cols, Partitioners.random(cols, 3)), 2, 2, dir)
+      assert(dir.toFile.list().toSet == spilled.map(_.path.getFileName.toString).toSet)
+    } finally {
+      dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
+    }
+  }
+
+  /** Spill one small index, change its bytes with `edit`, and return the
+    * message of the `IOException` that loading it throws.
+    */
+  private def loadFailure(seed: Int)(edit: Array[Byte] => Array[Byte]): (Path, String) = {
+    val rng = new Random(seed)
+    val dir = Files.createTempDirectory("pexeso-ooc-bad")
+    try {
+      val s = OutOfCore.buildAndSpill(Map(0 -> TestData.clusteredColumns(rng, 4, 8, 6)), 2, 2, dir).head
+      Files.write(s.path, edit(Files.readAllBytes(s.path)))
+      val e = intercept[IOException](OutOfCore.load(s))
+      assert(e.getMessage.contains(s.path.toString), e.getMessage)
+      (s.path, e.getMessage)
+    } finally {
+      dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
+    }
+  }
+
+  private def withInt(bytes: Array[Byte], at: Int, f: Int => Int): Array[Byte] = {
+    val b = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+    b.putInt(at, f(b.getInt(at)))
+    bytes
+  }
+
+  test("load rejects a file truncated by one byte") {
+    val (_, msg) = loadFailure(96)(b => b.dropRight(1))
+    assert(msg.contains("size"), msg)
+  }
+
+  test("load rejects a file with one body byte flipped") {
+    val (_, msg) = loadFailure(97) { b =>
+      val at = IndexFormat.HeaderBytes + (b.length - IndexFormat.HeaderBytes) / 2
+      b(at) = (b(at) ^ 0x10).toByte
+      b
+    }
+    assert(msg.contains("checksum"), msg)
+  }
+
+  test("load rejects a file with a wrong magic") {
+    val (_, msg) = loadFailure(98)(b => withInt(b, 0, _ + 1))
+    assert(msg.contains("magic"), msg)
+  }
+
+  test("load rejects a file of the next format version") {
+    val (_, msg) = loadFailure(99)(b => withInt(b, 4, _ + 1))
+    assert(msg.contains("version " + (IndexFormat.Version + 1)), msg)
   }
 }
