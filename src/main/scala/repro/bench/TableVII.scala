@@ -127,27 +127,24 @@ object TableVII {
 
     // every method loads each partition from disk once per grid cell and
     // runs the whole query workload against it before discarding it
+    def wallClock(body: => Unit): Long = { val t0 = System.nanoTime(); body; System.nanoTime() - t0 }
     val ctreeT = runMethod("CTREE") { (tau, t) =>
-      val t0 = System.nanoTime()
-      ctreePaths.foreach { case (path, cols) =>
+      wallClock(ctreePaths.foreach { case (path, cols) =>
         val tree = loadObj[CoverTree](path)
         embQs.foreach(q => CoverTree.search(tree, cols, q, tau, t))
-      }
-      System.nanoTime() - t0
+      })
     }
     val eptT = runMethod("EPT") { (tau, t) =>
-      val t0 = System.nanoTime()
-      eptPaths.foreach { path =>
+      wallClock(eptPaths.foreach { path =>
         val table = loadObj[PivotTable](path)
         embQs.foreach(q => PivotTable.search(table, q, tau, t))
-      }
-      System.nanoTime() - t0
+      })
     }
     val hT = runMethod("PEXESO-H") { (tau, t) =>
-      OutOfCore.searchBatch(spilled, embQs, tau, t, VerifyMode.PexesoH)._2
+      wallClock(OutOfCore.search(spilled, embQs, tau, t, VerifyMode.PexesoH))
     }
     val pT = runMethod("PEXESO") { (tau, t) =>
-      OutOfCore.searchBatch(spilled, embQs, tau, t, VerifyMode.Pexeso)._2
+      wallClock(OutOfCore.search(spilled, embQs, tau, t, VerifyMode.Pexeso))
     }
 
     val rows = grid.map { case (t, tp) =>

@@ -20,8 +20,7 @@ final case class ColumnVectors(
 
 /** Result of one joinable-column search, with instrumentation used by the
   * efficiency tables (Table VI: block vs block+verify time; Fig. 7a:
-  * number of exact distance computations). `loadNanos` is the time spent
-  * loading spilled partition indexes (out-of-core search only).
+  * number of exact distance computations).
   */
 final case class SearchResult(
     joinable: Set[Int],
@@ -30,8 +29,6 @@ final case class SearchResult(
     distanceComputations: Long,
     candidatePairs: Long,
     matchingPairs: Long,
-    loadNanos: Long = 0L,
 ) {
-  def totalNanos: Long = blockNanos + verifyNanos + loadNanos
-  def totalMillis: Double = totalNanos / 1e6
+  def totalNanos: Long = blockNanos + verifyNanos
 }

@@ -18,10 +18,11 @@ object VerifyMode {
   * disk in [[IndexFormat]] and loads them back one at a time; Java
   * serialization writes the same bytes.
   *
-  * Inputs are checked once at the API boundary: every vector must have the
-  * index's dimension and finite values, and every pivot distance must lie
-  * inside the grid extent. Beyond the extent the grid would clamp a vector
-  * into the last cell, and the cell lemmas would then prune real matches.
+  * Inputs are checked once at the API boundary: column ids must be unique,
+  * every vector must have the index's dimension and finite values, and
+  * every pivot distance must lie inside the grid extent. Beyond the extent
+  * the grid would clamp a vector into the last cell, and the cell lemmas
+  * would then prune real matches.
   */
 final class PexesoIndex(
     val pivots: PivotSet,
@@ -83,9 +84,12 @@ final class PexesoIndex(
 
 object PexesoIndex {
 
+  /** Most vectors sampled for pivot selection. */
+  private val PivotSample = 2000
+
   // Plain `if`s rather than `require`, whose by-name message would be a
   // closure allocated per coordinate.
-  private def checkVector(v: Array[Double], dim: Int, what: String): Unit = {
+  private[repro] def checkVector(v: Array[Double], dim: Int, what: String): Unit = {
     if (v.length != dim)
       throw new IllegalArgumentException(s"$what has dimension ${v.length}, expected $dim")
     var i = 0
@@ -94,6 +98,18 @@ object PexesoIndex {
         throw new IllegalArgumentException(s"$what has a non-finite value ${v(i)} at $i")
       i += 1
     }
+  }
+
+  /** The column ids, sorted; a repeated id would merge two columns. */
+  private[repro] def sortedColumnIds(columns: Seq[ColumnVectors]): Array[Int] = {
+    val ids = columns.iterator.map(_.colId).toArray.sorted
+    var i = 1
+    while (i < ids.length) {
+      if (ids(i) == ids(i - 1))
+        throw new IllegalArgumentException(s"column id ${ids(i)} is repeated")
+      i += 1
+    }
+    ids
   }
 
   private def checkMapped(m: Array[Double], extent: Double, what: String): Unit = {
@@ -111,16 +127,14 @@ object PexesoIndex {
     * (O(|S_V|)), pivot mapping of every vector (O(|P|·|S_V|)), hierarchical
     * grid + inverted index construction (O(m·|S_V| + D)).
     *
-    * @param columns     the repository
-    * @param numPivots   |P|
-    * @param levels      m
-    * @param pivotSample max vectors sampled for pivot selection
+    * @param columns   the repository, with unique column ids
+    * @param numPivots |P|
+    * @param levels    m
     */
   def build(
       columns: Seq[ColumnVectors],
       numPivots: Int,
       levels: Int,
-      pivotSample: Int = 2000,
       extent: Double = HierarchicalGrid.DefaultExtent,
   ): PexesoIndex = {
     require(columns.nonEmpty, "empty repository")
@@ -132,9 +146,9 @@ object PexesoIndex {
     require(all.length.toLong * math.max(dim, numPivots) <= Int.MaxValue,
       s"${all.length} vectors of dimension $dim do not fit one flat index")
     val pivots = PivotSelection.pcaPivots(
-      PivotSelection.sample(scala.collection.immutable.ArraySeq.unsafeWrapArray(all), pivotSample), numPivots)
+      PivotSelection.sample(scala.collection.immutable.ArraySeq.unsafeWrapArray(all), PivotSample), numPivots)
 
-    val colIds = columns.iterator.map(_.colId).toArray.distinct.sorted
+    val colIds = sortedColumnIds(columns)
     // a lake of fewer than numPivots distinct vectors yields fewer pivots
     val grid = new HierarchicalGrid(pivots.numPivots, levels, extent)
     val cell = new Array[Int](all.length)

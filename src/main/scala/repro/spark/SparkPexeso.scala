@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{ColumnVectors, PivotSet, Verify}
+import repro.core.{ColumnVectors, PexesoIndex, PivotSet, Verify}
 import repro.embed.VectorOps
 
 /** Distributed PEXESO as a Catalyst dataflow (DESIGN.md §2.4).
@@ -25,9 +25,12 @@ import repro.embed.VectorOps
   */
 object SparkPexeso {
 
-  /** Repository columns → `(col_id, row_id, vec)` DataFrame. */
+  /** Repository columns → `(col_id, row_id, vec)` DataFrame. A repeated
+    * column id is rejected: its rows would merge into one column.
+    */
   def lakeToDF(spark: SparkSession, columns: Seq[ColumnVectors]): DataFrame = {
     import spark.implicits._
+    PexesoIndex.sortedColumnIds(columns)
     columns.flatMap { c =>
       c.vectors.zipWithIndex.map { case (v, i) => (c.colId, i.toLong, v.toSeq) }
     }.toDF("col_id", "row_id", "vec")
@@ -59,8 +62,25 @@ object SparkPexeso {
     }.map(_.mkString(","))
   }
 
+  /** [[PexesoIndex.checkVector]] over the `vec` column of `df`, as one
+    * Spark job; the first failure is rethrown on the driver.
+    */
+  private def checkVectors(df: DataFrame, dim: Int, what: String): Unit = {
+    val spark = df.sparkSession
+    import spark.implicits._
+    val failures = df.select("vec").as[Array[Double]].flatMap { v =>
+      try { PexesoIndex.checkVector(v, dim, what); None }
+      catch { case e: IllegalArgumentException => Some(e.getMessage) }
+    }
+    failures.head(1).foreach(m => throw new IllegalArgumentException(m))
+  }
+
   /** Per-column joinability counts: `(col_id, matched)` where `matched` is
     * the number of distinct query vectors with ≥1 match in the column.
+    *
+    * Before the search, throws `IllegalArgumentException` for an empty
+    * query, a query or lake vector whose dimension is not the pivots', or
+    * a non-finite value.
     */
   def matchCounts(
       lakeDf: DataFrame,
@@ -70,6 +90,13 @@ object SparkPexeso {
       level: Int = 3,
       extent: Double = VectorOps.MaxUnitDistance + 1e-6,
   ): DataFrame = {
+    require(pivots.numPivots > 0, "no pivots")
+    val dim = pivots.pivots(0).length
+    pivots.pivots.foreach(PexesoIndex.checkVector(_, dim, "pivot"))
+    require(!queryDf.isEmpty, "empty query")
+    checkVectors(queryDf, dim, "query vector")
+    checkVectors(lakeDf, dim, "repository vector")
+
     val spark = lakeDf.sparkSession
     val bPivots = spark.sparkContext.broadcast(pivots)
 

@@ -52,4 +52,14 @@ class PexesoInputSpec extends AnyFunSuite {
     val q = query.map(_.clone()); q(0) = q(0).map(_ * 5)
     rejected(index.search(q, 0.4, 0.5))
   }
+
+  test("build rejects a repeated column id") {
+    // two columns with id 7 would merge into one dense column, which
+    // holds both query vectors and so would join at T = 1
+    val q1 = Array(1.0, 0.0, 0.0, 0.0)
+    val q2 = Array(0.0, 1.0, 0.0, 0.0)
+    val twice = IndexedSeq(ColumnVectors(7, "a", Array(q1)), ColumnVectors(7, "b", Array(q2)))
+    val e = intercept[IllegalArgumentException](PexesoIndex.build(twice, 2, 2))
+    assert(e.getMessage.contains("column id 7"), e.getMessage)
+  }
 }

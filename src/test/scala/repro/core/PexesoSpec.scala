@@ -128,4 +128,24 @@ class PexesoSpec extends AnyFunSuite {
       assert(got == want, s"|P|=$p m=$m mode=$mode qb=$qb")
     }
   }
+
+  test("all lake and query vectors in one leaf cell") {
+    // tight jitter around one center: every pivot distance is below 0.1,
+    // inside the first of the eight leaf cells per pivot at m = 3
+    val rng = new scala.util.Random(26)
+    val center = TestData.unitVec(rng, 8)
+    val cols = (0 until 8).map(c =>
+      ColumnVectors(c, s"col$c", Array.fill(5)(TestData.near(rng, center, 0.005))))
+    val query = Array.fill(6)(TestData.near(rng, center, 0.005))
+    val index = PexesoIndex.build(cols, 3, 3)
+    assert(index.inverted.numCells == 1)
+    val answers = (5 to 20).map(_ * 0.001).map { tau =>
+      val want = NaiveSearch.search(cols, query, tau, 0.5).joinable
+      for (mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH); qb <- Seq(true, false))
+        assert(index.search(query, tau, 0.5, mode, qb).joinable == want, s"tau=$tau mode=$mode qb=$qb")
+      want
+    }
+    // some threshold separates joinable from non-joinable columns
+    assert(answers.exists(w => w.nonEmpty && w.size < cols.size), answers)
+  }
 }

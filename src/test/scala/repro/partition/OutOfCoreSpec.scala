@@ -19,7 +19,7 @@ class OutOfCoreSpec extends AnyFunSuite {
     try {
       val spilled = OutOfCore.buildAndSpill(parts, numPivots = 3, levels = 3, dir)
       assert(spilled.size == parts.size)
-      val got = OutOfCore.search(spilled, query, 0.4, 0.5).joinable
+      val got = OutOfCore.search(spilled, Seq(query), 0.4, 0.5).perQuery.head.joinable
       val want = NaiveSearch.search(cols, query, 0.4, 0.5).joinable
       assert(got == want)
     } finally {
@@ -34,9 +34,9 @@ class OutOfCoreSpec extends AnyFunSuite {
       val byRandom = Partitioners.split(cols, Partitioners.random(cols, 3))
       val byJsd    = Partitioners.split(cols, JsdClustering.cluster(cols, 3))
       val a = OutOfCore.search(
-        OutOfCore.buildAndSpill(byRandom, 2, 2, dir.resolve("r")), query, 0.4, 0.5).joinable
+        OutOfCore.buildAndSpill(byRandom, 2, 2, dir.resolve("r")), Seq(query), 0.4, 0.5).perQuery.head.joinable
       val b = OutOfCore.search(
-        OutOfCore.buildAndSpill(byJsd, 2, 2, dir.resolve("j")), query, 0.4, 0.5).joinable
+        OutOfCore.buildAndSpill(byJsd, 2, 2, dir.resolve("j")), Seq(query), 0.4, 0.5).perQuery.head.joinable
       assert(a == b)
     } finally {
       def rm(f: java.io.File): Unit = {
@@ -53,7 +53,7 @@ class OutOfCoreSpec extends AnyFunSuite {
     try {
       val parts = Partitioners.split(cols, Partitioners.random(cols, 2))
       val spilled = OutOfCore.buildAndSpill(parts, 2, 2, dir)
-      val got = OutOfCore.search(spilled, query, 0.4, 0.5, VerifyMode.PexesoH).joinable
+      val got = OutOfCore.search(spilled, Seq(query), 0.4, 0.5, VerifyMode.PexesoH).perQuery.head.joinable
       assert(got == NaiveSearch.search(cols, query, 0.4, 0.5).joinable)
     } finally {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
@@ -78,9 +78,33 @@ class OutOfCoreSpec extends AnyFunSuite {
     val dir = Files.createTempDirectory("pexeso-ooc5")
     try {
       val spilled = OutOfCore.buildAndSpill(Partitioners.split(cols, Partitioners.random(cols, 2)), 2, 2, dir)
-      val r = OutOfCore.search(spilled, query, 0.4, 0.5)
-      assert(r.loadNanos > 0)
-      assert(r.totalNanos == r.blockNanos + r.verifyNanos + r.loadNanos)
+      val batch = OutOfCore.search(spilled, Seq(query), 0.4, 0.5)
+      val r = batch.perQuery.head
+      assert(batch.loadNanos > 0)
+      assert(r.totalNanos == r.blockNanos + r.verifyNanos)
+    } finally {
+      dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
+    }
+  }
+
+  test("a query batch gives each query the exact answer and the per-partition counter sums") {
+    val rng = new Random(100)
+    val cols = TestData.clusteredColumns(rng, 16, 12, 8, nClusters = 4, jitter = 0.12)
+    val queries = Seq.fill(4)(TestData.clusteredQuery(rng, cols.map(_.vectors(0)), 8, 0.12))
+    val dir = Files.createTempDirectory("pexeso-ooc-batch")
+    try {
+      val spilled = OutOfCore.buildAndSpill(Partitioners.split(cols, Partitioners.random(cols, 3)), 3, 3, dir)
+      val batch = OutOfCore.search(spilled, queries, 0.4, 0.5)
+      assert(batch.perQuery.size == queries.size)
+      val indexes = spilled.map(OutOfCore.load)
+      queries.zip(batch.perQuery).foreach { case (q, got) =>
+        assert(got.joinable == NaiveSearch.search(cols, q, 0.4, 0.5).joinable)
+        val parts = indexes.map(_.search(q, 0.4, 0.5))
+        assert(got.distanceComputations == parts.map(_.distanceComputations).sum)
+        assert(got.candidatePairs == parts.map(_.candidatePairs).sum)
+        assert(got.matchingPairs == parts.map(_.matchingPairs).sum)
+      }
+      assert(batch.perQuery.exists(_.joinable.nonEmpty))
     } finally {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
     }

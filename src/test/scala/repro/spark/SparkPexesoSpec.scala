@@ -2,7 +2,7 @@ package repro.spark
 
 import repro.{SparkSpec, TestData}
 import repro.baselines.NaiveSearch
-import repro.core.{PexesoIndex, PivotSelection}
+import repro.core.{ColumnVectors, PexesoIndex, PivotSelection, PivotSet}
 
 class SparkPexesoSpec extends SparkSpec {
 
@@ -57,5 +57,43 @@ class SparkPexesoSpec extends SparkSpec {
     val df = SparkPexeso.lakeToDF(spark, cols)
     assert(df.columns.toSeq == Seq("col_id", "row_id", "vec"))
     assert(df.count() == 12)
+  }
+
+  private def rejected(f: => Any): Unit = { intercept[IllegalArgumentException](f); () }
+
+  test("search rejects an empty query") {
+    val (cols, _) = TestData.searchInstance(9, nCols = 4, colSize = 5)
+    val pivots = PivotSelection.pcaPivots(cols.flatMap(_.vectors), 2)
+    rejected(SparkPexeso.search(spark, cols, Array.empty[Array[Double]], pivots, 0.4, 0.5))
+  }
+
+  test("search rejects a dimension that differs between query, lake and pivots") {
+    val (cols, query) = TestData.searchInstance(10, nCols = 4, colSize = 5, qSize = 3)
+    val pivots = PivotSelection.pcaPivots(cols.flatMap(_.vectors), 2)
+    val dim = query(0).length
+    rejected(SparkPexeso.search(spark, cols, query :+ Array.fill(dim + 1)(0.1), pivots, 0.4, 0.5))
+    val oddLake = cols :+ ColumnVectors(cols.size, "odd", Array(Array.fill(dim - 1)(0.1)))
+    rejected(SparkPexeso.search(spark, oddLake, query, pivots, 0.4, 0.5))
+    val oddPivots = PivotSet(pivots.pivots.map(_ :+ 0.0))
+    rejected(SparkPexeso.search(spark, cols, query, oddPivots, 0.4, 0.5))
+  }
+
+  test("search and matchCounts reject a non-finite value") {
+    val (cols, query) = TestData.searchInstance(11, nCols = 4, colSize = 5, qSize = 3)
+    val pivots = PivotSelection.pcaPivots(cols.flatMap(_.vectors), 2)
+    val q = query.map(_.clone()); q(1)(0) = Double.NaN
+    rejected(SparkPexeso.search(spark, cols, q, pivots, 0.4, 0.5))
+    val v = query(0).clone(); v(2) = Double.PositiveInfinity
+    val lake = cols :+ ColumnVectors(cols.size, "inf", Array(v))
+    rejected(SparkPexeso.matchCounts(
+      SparkPexeso.lakeToDF(spark, lake), SparkPexeso.queryToDF(spark, query), pivots, 0.4))
+  }
+
+  test("search rejects a repeated column id") {
+    val (cols, query) = TestData.searchInstance(12, nCols = 4, colSize = 5, qSize = 3)
+    val pivots = PivotSelection.pcaPivots(cols.flatMap(_.vectors), 2)
+    val twice = cols :+ cols(0).copy(name = "again")
+    val e = intercept[IllegalArgumentException](SparkPexeso.search(spark, twice, query, pivots, 0.4, 0.5))
+    assert(e.getMessage.contains(s"column id ${cols(0).colId}"), e.getMessage)
   }
 }
