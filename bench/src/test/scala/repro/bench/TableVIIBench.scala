@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Table VII — efficiency grid over T × τ for CTREE, EPT, PEXESO-H and
   * PEXESO on the in-memory corpora plus out-of-core LWDC.
@@ -10,7 +10,7 @@ import repro.SparkSpec
   * time grows with τ; PEXESO's exact distance computations are far below
   * CTREE's and below PEXESO-H's.
   */
-class TableVIIBench extends SparkSpec {
+class TableVIIBench extends AnyFunSuite {
 
   private def ms(rows: Seq[Seq[String]], ds: String, t: String, tau: String, col: Int): Double = {
     val r = rows.find(r => r(0) == ds && r(1) == t && r(2) == tau).get
@@ -26,7 +26,7 @@ class TableVIIBench extends SparkSpec {
     val lwdc = TableVII.runOutOfCore(BenchConfig.lwdcMini)
     val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
     val out = Fmt.table(header, open ++ swdc ++ lwdc) + "\n\n" +
-      TableVII.distanceFooters.mkString("\n") + "\n\n" + TableVII.distributedFooter(spark)
+      TableVII.distanceFooters.mkString("\n")
     Fmt.publish("tableVII", out)
 
     val all = open ++ swdc ++ lwdc

@@ -46,9 +46,6 @@ object TableVIJob {
 
 /** Table VII — efficiency evaluation (incl. out-of-core LWDC). */
 object TableVIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.sparkSession("tableVII")
-    try Fmt.publish("tableVII", TableVII.run(Some(spark)))
-    finally spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    Fmt.publish("tableVII", TableVII.run())
 }

@@ -9,7 +9,7 @@ import repro.lake.LakeGen.LakeSpec
   *
   * '''τ calibration.''' The paper specifies τ as 2%–8% of the maximum
   * distance 2 because fastText places misspellings within a few percent of
-  * the max distance. Our hashing embedder (DESIGN.md §2.5) places
+  * the max distance. Our hashing embedder (DESIGN.md §2.4) places
   * misspelled variants at ~0.5–1.0 (case/abbreviation/reorder variants at
   * ~0), so the paper's relative grid maps through a measured scale factor:
   * `τ_abs = pct · 2 · TauScale`. The sweep semantics are preserved — 2% is

@@ -1,13 +1,11 @@
 package repro.bench
 
 import java.nio.file.Files
-import org.apache.spark.sql.SparkSession
 import repro.baselines.{CoverTree, PivotTable}
-import repro.core.{PexesoIndex, PivotSelection, VerifyMode}
+import repro.core.{PexesoIndex, VerifyMode}
 import repro.embed.HashingEmbedder
 import repro.lake.LakeGen
 import repro.partition.{JsdClustering, OutOfCore, Partitioners}
-import repro.spark.SparkPexeso
 
 /** Table VII — efficiency evaluation: search time of CTREE, EPT,
   * PEXESO-H, and PEXESO over T ∈ {20..80%} × τ ∈ {2..8%} on OPEN-mini and
@@ -157,28 +155,7 @@ object TableVII {
     rows
   }
 
-  /** One distributed data point: SparkPexeso at the default thresholds on
-    * SWDC-mini — the Catalyst dataflow variant of the same search.
-    */
-  def distributedFooter(spark: SparkSession): String = {
-    val spec = BenchConfig.swdcMini
-    val lake = LakeGen.generate(spec)
-    val (queries, rest) = LakeGen.splitQueries(lake, 3, seed = 55L)
-    val embedder = new HashingEmbedder(spec.dim)
-    val embCols = LakeGen.embed(rest.columns, embedder)
-    val pivots = PivotSelection.pcaPivots(
-      PivotSelection.sample(embCols.flatMap(_.vectors), 2000), BenchConfig.SwdcPivots)
-    val tau = BenchConfig.tauAbs(BenchConfig.DefaultTauPct)
-    val t0 = System.nanoTime()
-    queries.foreach { q =>
-      SparkPexeso.search(spark, embCols, embedder.embedAll(q.values), pivots,
-        tau, BenchConfig.DefaultTFrac)
-    }
-    val ns = System.nanoTime() - t0
-    s"SparkPexeso (distributed dataflow, SWDC-mini, tau=6%, T=60%, 3 queries): ${Fmt.ms(ns)} ms"
-  }
-
-  def run(spark: Option[SparkSession]): String = {
+  def run(): String = {
     val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
     val open = runInMemory("OPEN", BenchConfig.openMini,
       BenchConfig.OpenPivots, BenchConfig.OpenLevels)
@@ -186,9 +163,7 @@ object TableVII {
       BenchConfig.SwdcPivots, BenchConfig.SwdcLevels)
     val lwdc = runOutOfCore(BenchConfig.lwdcMini)
     val base = Fmt.table(header, open ++ swdc ++ lwdc)
-    val footer = "\n\n" + distanceFooters.mkString("\n") +
-      spark.map(s => "\n\n" + distributedFooter(s)).getOrElse("")
-    base + footer +
+    base + "\n\n" + distanceFooters.mkString("\n") +
       "\n\npaper reference (seconds, 100 queries, their hardware): OPEN PEXESO 32.5-68.1, " +
       "PEXESO-H 66.7-279, CTREE 656-934, EPT 704-973; SWDC PEXESO 9.8-13.6, PEXESO-H 130-157, " +
       "CTREE 567-831, EPT 577-829; LWDC PEXESO 456-635, PEXESO-H 3567->7200, CTREE/EPT >7200"

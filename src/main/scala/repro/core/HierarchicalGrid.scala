@@ -23,7 +23,8 @@ final class HierarchicalGrid(
     val levels: Int,
     val extent: Double = HierarchicalGrid.DefaultExtent,
 ) {
-  require(numDims >= 1 && levels >= 1, s"bad grid shape: dims=$numDims levels=$levels")
+  require(numDims >= 1 && levels >= 1 && levels <= HierarchicalGrid.MaxLevels,
+    s"bad grid shape: dims=$numDims levels=$levels (levels must be 1..${HierarchicalGrid.MaxLevels})")
 
   import HierarchicalGrid.CellKey
 
@@ -156,6 +157,12 @@ final class HierarchicalGrid(
 object HierarchicalGrid {
   /** Leaf-cell identifier: absolute coordinates at the leaf level. */
   type CellKey = ArraySeq[Int]
+
+  /** Deepest level: `1 << level` cells per dimension must stay a positive
+    * `Int`, or cell widths and boxes go wrong and the lemmas report false
+    * matches.
+    */
+  val MaxLevels: Int = 30
 
   /** Slightly above the unit-vector max distance 2.0 — see class doc. */
   val DefaultExtent: Double = 2.0 + 1e-6

@@ -1,13 +1,13 @@
 package repro.core
 
-import java.io.{ByteArrayOutputStream, IOException}
+import java.io.IOException
 import java.nio.{ByteBuffer, ByteOrder}
-import java.nio.channels.{Channels, FileChannel, WritableByteChannel}
+import java.nio.channels.FileChannel
 import java.nio.file.{Path, StandardOpenOption}
 import java.util.zip.CRC32C
 
 /** The binary format of a [[PexesoIndex]]: the out-of-core spill files
-  * (paper Section IV) and, wrapped in a byte array, its Java serialization.
+  * (paper Section IV).
   *
   * Little-endian throughout. A 56-byte header:
   *
@@ -27,9 +27,10 @@ import java.util.zip.CRC32C
   * boundary, `mapped` and `vectors` (doubles). Last comes the CRC32C of
   * everything before it, header included.
   *
-  * A read checks, in order, the magic, the version, that the file size is
-  * the one the header implies, and the checksum; a failure is an
-  * `IOException` naming the source and the check. `HG_SV` is not stored:
+  * A read checks, in order, the magic, the version, that the header counts
+  * are valid (m at most [[HierarchicalGrid.MaxLevels]]), that the file size
+  * is the one the header implies, and the checksum; a failure is an
+  * `IOException` naming the file and the check. `HG_SV` is not stored:
   * it is rebuilt from `cellCoords` with the same leaf ids.
   */
 object IndexFormat {
@@ -46,7 +47,8 @@ object IndexFormat {
 
   /** Bytes of an index with these header fields, or -1 if they are invalid. */
   private def sizeOf(dim: Int, np: Int, levels: Int, cols: Int, cells: Int, segs: Int, posts: Int): Long =
-    if (dim < 1 || np < 1 || levels < 1 || cols < 0 || cells < 0 || segs < 0 || posts < 0 ||
+    if (dim < 1 || np < 1 || levels < 1 || levels > HierarchicalGrid.MaxLevels ||
+        cols < 0 || cells < 0 || segs < 0 || posts < 0 ||
         Seq(np.toLong * dim, cells.toLong * np, posts.toLong * np, posts.toLong * dim).exists(_ > Int.MaxValue)) -1L
     else {
       val ints = intCount(np, cols, cells, segs)
@@ -60,37 +62,32 @@ object IndexFormat {
 
   // ---- write ----
 
-  /** Write `index` to `path`, replacing any file there. */
+  /** Write `index` to `path`, replacing any file there, and return once the
+    * bytes are on disk.
+    */
   def write(index: PexesoIndex, path: Path): Unit = {
     val ch = FileChannel.open(path, StandardOpenOption.CREATE, StandardOpenOption.WRITE,
       StandardOpenOption.TRUNCATE_EXISTING)
-    try write(index, ch) finally ch.close()
-  }
-
-  private[core] def toBytes(index: PexesoIndex): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    write(index, Channels.newChannel(bos))
-    bos.toByteArray
-  }
-
-  private def write(index: PexesoIndex, ch: WritableByteChannel): Unit = {
-    val inv = index.inverted
-    val out = new Writer(ch)
-    val h = out.buf
-    h.putInt(Magic).putInt(Version).putInt(inv.dim).putInt(inv.numPivots).putInt(inv.levels)
-      .putInt(inv.numColumns).putInt(inv.numCells).putInt(inv.segCol.length).putInt(inv.segStart.last)
-      .putInt(0).putDouble(inv.extent).putLong(index.buildNanos)
-    index.pivots.pivots.foreach(out.doubles)
-    val ints = Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart)
-    ints.foreach(out.ints)
-    if (padAfter(ints.map(_.length.toLong).sum) != 0) out.ints(new Array[Int](1))
-    out.doubles(inv.mapped)
-    out.doubles(inv.vectors)
-    out.finish()
+    try {
+      val inv = index.inverted
+      val out = new Writer(ch)
+      val h = out.buf
+      h.putInt(Magic).putInt(Version).putInt(inv.dim).putInt(inv.numPivots).putInt(inv.levels)
+        .putInt(inv.numColumns).putInt(inv.numCells).putInt(inv.segCol.length).putInt(inv.segStart.last)
+        .putInt(0).putDouble(inv.extent).putLong(index.buildNanos)
+      index.pivots.pivots.foreach(out.doubles)
+      val ints = Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart)
+      ints.foreach(out.ints)
+      if (padAfter(ints.map(_.length.toLong).sum) != 0) out.ints(new Array[Int](1))
+      out.doubles(inv.mapped)
+      out.doubles(inv.vectors)
+      out.finish()
+      ch.force(true)
+    } finally ch.close()
   }
 
   /** Buffers writes to `ch` and checksums what passes through. */
-  private final class Writer(ch: WritableByteChannel) {
+  private final class Writer(ch: FileChannel) {
     val buf: ByteBuffer = ByteBuffer.allocateDirect(SliceBytes).order(ByteOrder.LITTLE_ENDIAN)
     private val crc = new CRC32C
 
@@ -139,30 +136,52 @@ object IndexFormat {
     val ch = FileChannel.open(path, StandardOpenOption.READ)
     try {
       val size = ch.size()
-      val header = ByteBuffer.allocate(HeaderBytes)
-      while (header.hasRemaining && ch.read(header, header.position().toLong) > 0) {}
-      header.flip()
-      read(path.toString, size, header, new Mapped(ch, size))
+      val h = ByteBuffer.allocate(HeaderBytes).order(ByteOrder.LITTLE_ENDIAN)
+      while (h.hasRemaining && ch.read(h, h.position().toLong) > 0) {}
+      h.flip()
+      def fail(check: String): Nothing = throw new IOException(s"$path: $check")
+      val hex = (i: Int) => f"0x$i%08x"
+      if (h.remaining < 4) fail(s"bad magic: $size bytes hold none (not a PEXESO index file)")
+      if (h.getInt(0) != Magic) fail(s"bad magic ${hex(h.getInt(0))}, expected ${hex(Magic)} (not a PEXESO index file)")
+      val version = if (h.remaining >= 8) h.getInt(4) else 0
+      if (version != Version) fail(s"unsupported format version $version, this reader reads version $Version")
+      if (h.remaining < HeaderBytes) fail(s"size $size bytes is shorter than the $HeaderBytes-byte header")
+      val dim = h.getInt(8); val np = h.getInt(12); val levels = h.getInt(16)
+      val cols = h.getInt(20); val cells = h.getInt(24); val segs = h.getInt(28); val posts = h.getInt(32)
+      val implied = sizeOf(dim, np, levels, cols, cells, segs, posts)
+      if (implied < 0) fail(s"invalid header counts: dim=$dim |P|=$np m=$levels columns=$cols cells=$cells segments=$segs postings=$posts")
+      if (size != implied) fail(s"size $size bytes, the header implies $implied")
+
+      val src = new Mapped(ch, size)
+      val in = new Reader(src, h)
+      val pivots = Array.fill(np)(in.doubles(dim))
+      val colIds = in.ints(cols)
+      val cellCoords = in.ints(cells * np)
+      val cellSeg = in.ints(cells + 1)
+      val segCol = in.ints(segs)
+      val segStart = in.ints(segs + 1)
+      in.skip(padAfter(intCount(np, cols, cells, segs)))
+      val mapped = in.doubles(posts * np)
+      val vectors = in.doubles(posts * dim)
+      val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
+      val computed = in.checksum
+      if (stored != computed) fail(s"checksum mismatch: stored ${hex(stored)}, computed ${hex(computed)}")
+
+      val inverted = InvertedIndex.fromArrays(np, dim, levels, h.getDouble(40), colIds, cellCoords,
+        cellSeg, segCol, segStart, mapped, vectors)
+      new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
     } finally ch.close()
   }
-
-  private[core] def fromBytes(bytes: Array[Byte], name: String): PexesoIndex = {
-    val all = ByteBuffer.wrap(bytes)
-    read(name, bytes.length.toLong, all.slice(0, math.min(bytes.length, HeaderBytes)),
-      (off, len) => all.slice(off.toInt, len))
-  }
-
-  /** Little-endian bytes `[off, off + len)` of the source. */
-  private trait Source { def apply(off: Long, len: Int): ByteBuffer }
 
   /** A file mapped in windows of up to 1 GiB, so that indexes over 2 GiB,
     * which one mapping cannot hold, read too.
     */
-  private final class Mapped(ch: FileChannel, size: Long) extends Source {
+  private final class Mapped(ch: FileChannel, size: Long) {
     private val WindowBytes = 1L << 30
     private var winStart = 0L
     private var win: ByteBuffer = ByteBuffer.allocate(0)
 
+    /** Bytes `[off, off + len)` of the file. */
     def apply(off: Long, len: Int): ByteBuffer = {
       if (off < winStart || off + len > winStart + win.capacity) {
         winStart = off
@@ -172,42 +191,8 @@ object IndexFormat {
     }
   }
 
-  private def read(name: String, size: Long, header: ByteBuffer, src: Source): PexesoIndex = {
-    def fail(check: String): Nothing = throw new IOException(s"$name: $check")
-    val h = header.order(ByteOrder.LITTLE_ENDIAN)
-    val hex = (i: Int) => f"0x$i%08x"
-    if (h.remaining < 4) fail(s"bad magic: $size bytes hold none (not a PEXESO index file)")
-    if (h.getInt(0) != Magic) fail(s"bad magic ${hex(h.getInt(0))}, expected ${hex(Magic)} (not a PEXESO index file)")
-    val version = if (h.remaining >= 8) h.getInt(4) else 0
-    if (version != Version) fail(s"unsupported format version $version, this reader reads version $Version")
-    if (h.remaining < HeaderBytes) fail(s"size $size bytes is shorter than the $HeaderBytes-byte header")
-    val dim = h.getInt(8); val np = h.getInt(12); val levels = h.getInt(16)
-    val cols = h.getInt(20); val cells = h.getInt(24); val segs = h.getInt(28); val posts = h.getInt(32)
-    val implied = sizeOf(dim, np, levels, cols, cells, segs, posts)
-    if (implied < 0) fail(s"invalid header counts: dim=$dim |P|=$np m=$levels columns=$cols cells=$cells segments=$segs postings=$posts")
-    if (size != implied) fail(s"size $size bytes, the header implies $implied")
-
-    val in = new Reader(src, h)
-    val pivots = Array.fill(np)(in.doubles(dim))
-    val colIds = in.ints(cols)
-    val cellCoords = in.ints(cells * np)
-    val cellSeg = in.ints(cells + 1)
-    val segCol = in.ints(segs)
-    val segStart = in.ints(segs + 1)
-    in.skip(padAfter(intCount(np, cols, cells, segs)))
-    val mapped = in.doubles(posts * np)
-    val vectors = in.doubles(posts * dim)
-    val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
-    val computed = in.checksum
-    if (stored != computed) fail(s"checksum mismatch: stored ${hex(stored)}, computed ${hex(computed)}")
-
-    val inverted = InvertedIndex.fromArrays(np, dim, levels, h.getDouble(40), colIds, cellCoords,
-      cellSeg, segCol, segStart, mapped, vectors)
-    new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
-  }
-
   /** Reads the body in order, checksumming the header and every byte read. */
-  private final class Reader(src: Source, header: ByteBuffer) {
+  private final class Reader(src: Mapped, header: ByteBuffer) {
     private val crc = new CRC32C
     crc.update(header.duplicate())
     private var off = HeaderBytes.toLong
@@ -244,13 +229,5 @@ object IndexFormat {
       }
       out
     }
-  }
-
-  /** The Java serialization form of a [[PexesoIndex]]: its bytes in this
-    * format, so serialization has no second layout.
-    */
-  @SerialVersionUID(1L)
-  private[core] final class Serialized(bytes: Array[Byte]) extends Serializable {
-    private def readResolve(): AnyRef = fromBytes(bytes, "serialized PexesoIndex")
   }
 }

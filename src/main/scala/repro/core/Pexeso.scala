@@ -15,27 +15,25 @@ object VerifyMode {
   * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
   *
   * The out-of-core path (Section IV) spills one index per partition to
-  * disk in [[IndexFormat]] and loads them back one at a time; Java
-  * serialization writes the same bytes.
+  * disk in [[IndexFormat]] and loads them back one at a time.
   *
   * Inputs are checked once at the API boundary: column ids must be unique,
-  * every vector must have the index's dimension and finite values, and
-  * every pivot distance must lie inside the grid extent. Beyond the extent
-  * the grid would clamp a vector into the last cell, and the cell lemmas
-  * would then prune real matches.
+  * every vector must have the index's dimension and finite values, m must
+  * be at most [[HierarchicalGrid.MaxLevels]], τ must be at least 0, T must
+  * lie in (0, 1], and every pivot distance must lie inside the grid
+  * extent. Beyond the extent the grid would clamp a vector into the last
+  * cell, and the cell lemmas would then prune real matches.
   */
 final class PexesoIndex(
     val pivots: PivotSet,
     val inverted: InvertedIndex,
     val buildNanos: Long,
-) extends Serializable {
+) {
 
   def numPivots: Int = pivots.numPivots
   def levels: Int = inverted.levels
   def numColumns: Int = inverted.numColumns
   def grid: HierarchicalGrid = inverted.grid
-
-  private def writeReplace(): AnyRef = new IndexFormat.Serialized(IndexFormat.toBytes(this))
 
   /** Joinable column search (paper Algorithm 3).
     *
@@ -50,6 +48,7 @@ final class PexesoIndex(
       mode: VerifyMode = VerifyMode.Pexeso,
       quickBrowsing: Boolean = true,
   ): SearchResult = {
+    PexesoIndex.checkThresholds(tau, tFrac)
     require(query.nonEmpty, "empty query")
     query.foreach(PexesoIndex.checkVector(_, inverted.dim, "query vector"))
     val tAbs = Verify.absThreshold(tFrac, query.length)
@@ -89,7 +88,7 @@ object PexesoIndex {
 
   // Plain `if`s rather than `require`, whose by-name message would be a
   // closure allocated per coordinate.
-  private[repro] def checkVector(v: Array[Double], dim: Int, what: String): Unit = {
+  private def checkVector(v: Array[Double], dim: Int, what: String): Unit = {
     if (v.length != dim)
       throw new IllegalArgumentException(s"$what has dimension ${v.length}, expected $dim")
     var i = 0
@@ -100,8 +99,16 @@ object PexesoIndex {
     }
   }
 
+  /** τ must be a distance, NaN excluded, and T a fraction in (0, 1]; any
+    * other value would not fail but give a wrong answer.
+    */
+  private[repro] def checkThresholds(tau: Double, tFrac: Double): Unit = {
+    require(tau >= 0, s"tau $tau is not a distance >= 0")
+    require(tFrac > 0 && tFrac <= 1, s"tFrac $tFrac is not in (0, 1]")
+  }
+
   /** The column ids, sorted; a repeated id would merge two columns. */
-  private[repro] def sortedColumnIds(columns: Seq[ColumnVectors]): Array[Int] = {
+  private def sortedColumnIds(columns: Seq[ColumnVectors]): Array[Int] = {
     val ids = columns.iterator.map(_.colId).toArray.sorted
     var i = 1
     while (i < ids.length) {

@@ -1,6 +1,7 @@
 package repro.partition
 
-import java.nio.file.{Files, Path, StandardCopyOption}
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, StandardCopyOption, StandardOpenOption}
 import repro.core.{ColumnVectors, IndexFormat, PexesoIndex, SearchResult, VerifyMode}
 
 /** Out-of-core joinable table search (paper Section IV): when the lake's
@@ -16,9 +17,10 @@ object OutOfCore {
   final case class SpilledIndex(partition: Int, path: Path, numColumns: Int)
 
   /** Build one PEXESO per partition and write it to `dir` in
-    * [[IndexFormat]]. Each file is written under a `.tmp` name and renamed
-    * into place, so an interrupted spill leaves no partial index file under
-    * its final name.
+    * [[IndexFormat]]. Each file is written under a `.tmp` name, flushed to
+    * disk and renamed into place, and the rename is flushed too, so neither
+    * an interrupted spill nor a crash after it leaves a partial index file
+    * under its final name.
     */
   def buildAndSpill(
       parts: Map[Int, IndexedSeq[ColumnVectors]],
@@ -34,6 +36,8 @@ object OutOfCore {
       try {
         IndexFormat.write(index, tmp)
         Files.move(tmp, path, StandardCopyOption.ATOMIC_MOVE)
+        val d = FileChannel.open(dir, StandardOpenOption.READ)
+        try d.force(true) finally d.close()
       } finally Files.deleteIfExists(tmp)
       SpilledIndex(p, path, cols.size)
     }
@@ -53,6 +57,8 @@ object OutOfCore {
   /** Load each partition once, run every query against it and discard it.
     * Each query's joinable set is merged over partitions; its block and
     * verify nanoseconds, distances, candidate and matching pairs are summed.
+    * τ and T are checked as [[PexesoIndex.search]] checks them, before the
+    * first load.
     */
   def search(
       spilled: Seq[SpilledIndex],
@@ -61,6 +67,7 @@ object OutOfCore {
       tFrac: Double,
       mode: VerifyMode = VerifyMode.Pexeso,
   ): BatchResult = {
+    PexesoIndex.checkThresholds(tau, tFrac)
     val acc = Array.fill(queries.length)(SearchResult(Set.empty, 0L, 0L, 0L, 0L, 0L))
     var loadNs = 0L
     spilled.foreach { s =>

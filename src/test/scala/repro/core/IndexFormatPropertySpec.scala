@@ -62,24 +62,4 @@ class IndexFormatPropertySpec extends AnyFunSuite {
       Files.deleteIfExists(path); Files.deleteIfExists(dir)
     }
   }
-
-  test("Java serialization writes the same bytes as the spill") {
-    val (cols, _) = PexesoPropertySpec.Case(seed = 7L, dim = 5, numCols = 4, colSize = 6, qSize = 3,
-      numPivots = 3, levels = 3, tau = 0.1, tOne = false, mode = VerifyMode.Pexeso, quickBrowsing = true).instance
-    val index = PexesoIndex.build(cols, 3, 3)
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(index); oos.close()
-    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-      .readObject().asInstanceOf[PexesoIndex]
-    assert(sameArrays(index, back))
-    val dir = Files.createTempDirectory("pexeso-format2")
-    val path = dir.resolve("index.bin")
-    try {
-      IndexFormat.write(index, path)
-      assert(java.util.Arrays.equals(Files.readAllBytes(path), IndexFormat.toBytes(index)))
-    } finally {
-      Files.deleteIfExists(path); Files.deleteIfExists(dir)
-    }
-  }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import repro.baselines.NaiveSearch
 
 /** Inputs outside the exactness contract fail at the API boundary of
   * `PexesoIndex.build` and `search` instead of giving wrong answers.
@@ -61,5 +62,23 @@ class PexesoInputSpec extends AnyFunSuite {
     val twice = IndexedSeq(ColumnVectors(7, "a", Array(q1)), ColumnVectors(7, "b", Array(q2)))
     val e = intercept[IllegalArgumentException](PexesoIndex.build(twice, 2, 2))
     assert(e.getMessage.contains("column id 7"), e.getMessage)
+  }
+
+  test("build rejects more than 30 grid levels") {
+    // at m = 31 a cell width divides by a negative `1 << m`, and the cell
+    // lemmas then report false matches
+    val want = NaiveSearch.search(cols, query, 0.3, 0.3).joinable
+    assert(want.nonEmpty && want.size < cols.size)
+    assert(PexesoIndex.build(cols, 2, 30).search(query, 0.3, 0.3).joinable == want)
+    for (m <- Seq(31, 32, 33)) rejected(PexesoIndex.build(cols, 2, m))
+  }
+
+  test("search rejects a tau that is NaN or negative and a T outside (0, 1]") {
+    for (tau <- Seq(Double.NaN, -0.1, Double.NegativeInfinity)) rejected(index.search(query, tau, 0.5))
+    for (t <- Seq(Double.NaN, 0.0, -1.0, 1.5)) rejected(index.search(query, 0.4, t))
+    // the edges stay valid: τ = 0, τ = +∞ and T = 1
+    for (tau <- Seq(0.0, Double.PositiveInfinity))
+      assert(index.search(query, tau, 1.0).joinable == NaiveSearch.search(cols, query, tau, 1.0).joinable)
+    assert(index.search(query, Double.PositiveInfinity, 1.0).joinable.size == cols.size)
   }
 }

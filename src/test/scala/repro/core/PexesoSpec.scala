@@ -100,17 +100,6 @@ class PexesoSpec extends AnyFunSuite {
     assert(index.numColumns == cols.size)
   }
 
-  test("index is serializable (out-of-core prerequisite)") {
-    val (cols, query) = TestData.searchInstance(25)
-    val index = PexesoIndex.build(cols, 2, 2)
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(index); oos.close()
-    val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-    val back = ois.readObject().asInstanceOf[PexesoIndex]
-    assert(back.search(query, 0.4, 0.5).joinable == index.search(query, 0.4, 0.5).joinable)
-  }
-
   test("a repository vector at exactly d = tau matches in both verify modes") {
     // 0.75 - 0.5 = 0.25 and 0.25² = 0.0625 are exact in binary: d = τ exactly
     val tau = 0.25

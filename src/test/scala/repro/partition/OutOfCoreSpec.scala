@@ -3,6 +3,7 @@ package repro.partition
 import java.io.IOException
 import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.file.{Files, Path}
+import java.util.zip.CRC32C
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.TestData
@@ -166,5 +167,24 @@ class OutOfCoreSpec extends AnyFunSuite {
   test("load rejects a file of the next format version") {
     val (_, msg) = loadFailure(99)(b => withInt(b, 4, _ + 1))
     assert(msg.contains("version " + (IndexFormat.Version + 1)), msg)
+  }
+
+  test("load rejects a header of more than 30 levels, even with a valid checksum") {
+    val (_, msg) = loadFailure(101) { b =>
+      withInt(b, 16, _ => 31)
+      val crc = new CRC32C
+      crc.update(b, 0, b.length - 4)
+      withInt(b, b.length - 4, _ => crc.getValue.toInt)
+    }
+    assert(msg.contains("invalid header counts") && msg.contains("m=31"), msg)
+  }
+
+  test("search rejects a bad tau or T before it loads a partition") {
+    val (_, query) = TestData.searchInstance(seed = 102)
+    val missing = Seq(OutOfCore.SpilledIndex(0, Files.createTempDirectory("pexeso-ooc7").resolve("none.bin"), 1))
+    try {
+      for ((tau, t) <- Seq((Double.NaN, 0.5), (-0.1, 0.5), (0.4, Double.NaN), (0.4, 0.0), (0.4, -1.0), (0.4, 1.5)))
+        intercept[IllegalArgumentException](OutOfCore.search(missing, Seq(query), tau, t))
+    } finally Files.deleteIfExists(missing.head.path.getParent)
   }
 }
