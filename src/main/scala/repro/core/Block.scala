@@ -24,8 +24,8 @@ final class CellPairs {
 }
 
 /** Output of the blocking phase: pairs of (query vector index, target leaf
-  * cell) of `grid`. Matching pairs are proven matches (Lemmas 5/6);
-  * candidate pairs survived filtering (Lemmas 3/4) and need verification.
+  * cell) of `grid`. Matching pairs are proven matches (Lemma 5);
+  * candidate pairs survived filtering (Lemma 3) and need verification.
   *
   * `matching` and `candidates` show the pairs with cell keys, as read-only
   * views over the arrays.
@@ -43,30 +43,33 @@ final class BlockResult(
       def length: Int = pairs.size
       def apply(i: Int): (Int, CellKey) = {
         if (i < 0 || i >= pairs.size) throw new IndexOutOfBoundsException(s"$i of ${pairs.size}")
-        (pairs.q(i), grid.leafAt(pairs.cell(i)).key)
+        (pairs.q(i), grid.key(pairs.cell(i)))
       }
     }
 }
 
-/** Blocking (paper Algorithm 1) + quick browsing (Section III-C).
+/** Blocking (paper Algorithm 1) + quick browsing (Section III-C), as one
+  * exact range probe of the sorted leaves of `HG_SV` per query vector.
   *
-  * A dual descent over `HG_Q` and `HG_SV` built with the same number of
-  * levels: same-level cells are compared with the cell–cell lemmas and
-  * expanded simultaneously; at the leaf level the vector–cell lemmas
-  * produce the final matching/candidate pairs.
+  * Lemma 3 gives q a leaf coordinate range per pivot
+  * ([[GridGeometry.lemma3Range]]). The leaves in range are found by binary
+  * search on the first coordinate, skips by binary search on the second,
+  * and integer compares on the rest; Lemma 5 then decides matching or
+  * candidate. The paper's descent through the inner levels with Lemmas 4
+  * and 6 would prune nothing more (see [[GridGeometry]]).
   */
 object Block {
 
   /** Run quick browsing followed by Algorithm 1.
     *
-    * Quick browsing: a query leaf cell whose key also exists in `HG_SV`
-    * refers to the same space region, so it can never be filtered by
-    * Lemma 3/4 — its query vectors pair with that target cell as
-    * candidates immediately, and the recursive descent skips identical
-    * leaf pairs to avoid redundant work.
+    * Each query vector's pairs start with its own leaf, the leaf of `HG_SV`
+    * with the key of its `HG_Q` leaf, if there is one. Quick browsing makes
+    * that pair a candidate without a lemma test, since the cell holds q;
+    * without it, the own leaf is tested like the others. The other leaves
+    * follow in id order.
     *
     * @param hgQ         grid over the mapped query vectors (leaves hold q ids)
-    * @param hgS         grid over the mapped repository vectors
+    * @param hgS         leaves of the mapped repository vectors
     * @param queryMapped mapped query vectors (indexed by q id)
     * @param tau         distance threshold
     */
@@ -77,63 +80,60 @@ object Block {
       tau: Double,
       quickBrowsing: Boolean = true,
   ): BlockResult = {
-    require(hgQ.levels == hgS.levels, "HG_Q and HG_SV must share the level count")
+    require(hgQ.numDims == hgS.numDims && hgQ.levels == hgS.levels && hgQ.extent == hgS.extent,
+      s"HG_Q (|P|=${hgQ.numDims}, m=${hgQ.levels}, extent ${hgQ.extent}) and " +
+        s"HG_SV (|P|=${hgS.numDims}, m=${hgS.levels}, extent ${hgS.extent}) must have the same shape")
     val res = new BlockResult(hgS, new CellPairs, new CellPairs)
+    val np = hgS.numDims
+    val w = hgS.width
+    val cells = hgS.cells
+    val n = cells.length / np
+    val lo = new Array[Int](np)
+    val hi = new Array[Int](np)
 
-    if (quickBrowsing) {
-      hgQ.leafCells.foreach { qLeaf =>
-        hgS.leaf(qLeaf.key).foreach { sLeaf =>
-          qLeaf.payloads.foreach(q => res.candidatePairs.add(q, sLeaf.id))
-        }
+    def emit(q: Int, qm: Array[Double], r: Int): Unit =
+      if (GridGeometry.vectorCellMatched(cells, r * np, w, qm, tau)) res.matchingPairs.add(q, r)
+      else res.candidatePairs.add(q, r)
+
+    // the first leaf at or after `from` whose first two coordinates are at
+    // least (x0, x1) (whose first is at least x0 if |P| = 1)
+    def seek(from: Int, x0: Int, x1: Int): Int = {
+      var a = from
+      var b = n
+      while (a < b) {
+        val m = (a + b) >>> 1
+        val c0 = cells(m * np)
+        if (c0 < x0 || (c0 == x0 && np > 1 && cells(m * np + 1) < x1)) a = m + 1 else b = m
       }
+      a
     }
 
-    descend(hgQ.root, hgS.root, queryMapped, tau, quickBrowsing, res)
-    res
-  }
-
-  private def descend(
-      cQ: HierarchicalGrid#GridNode,
-      cS: HierarchicalGrid#GridNode,
-      queryMapped: Array[Array[Double]],
-      tau: Double,
-      quickBrowsing: Boolean,
-      res: BlockResult,
-  ): Unit = {
-    val qKids = cQ.kids
-    val sKids = cS.kids
-    var a = 0
-    while (a < qKids.length) {
-      val cq = qKids(a)
-      var b = 0
-      while (b < sKids.length) {
-        val cs = sKids(b)
-        if (cq.isLeaf && cs.isLeaf) {
-          // handled by quick browsing already?
-          val sameCell = java.util.Arrays.equals(cq.coords, cs.coords)
-          if (!(quickBrowsing && sameCell)) {
-            val qs = cq.payloads
-            var i = 0
-            while (i < qs.length) {
-              val q = qs(i)
-              val qm = queryMapped(q)
-              if (GridGeometry.vectorCellMatched(cs, qm, tau)) res.matchingPairs.add(q, cs.id)
-              else if (!GridGeometry.vectorCellFiltered(cs, qm, tau)) res.candidatePairs.add(q, cs.id)
-              i += 1
+    hgQ.leafCells.foreach { leaf =>
+      val own = hgS.find(leaf.key.toArray, 0)
+      leaf.payloads.foreach { q =>
+        val qm = queryMapped(q)
+        if (own >= 0) {
+          if (quickBrowsing) res.candidatePairs.add(q, own)
+          else if (!GridGeometry.vectorCellFiltered(cells, own * np, w, qm, tau)) emit(q, qm, own)
+        }
+        if (GridGeometry.lemma3Range(qm, tau, w, hgS.side, lo, hi)) {
+          val a1 = if (np > 1) lo(1) else 0
+          val b1 = if (np > 1) hi(1) else 0
+          var r = seek(0, lo(0), a1)
+          while (r < n && cells(r * np) <= hi(0)) {
+            val c0 = cells(r * np)
+            if (np > 1 && cells(r * np + 1) < a1) r = seek(r + 1, c0, a1)
+            else if (np > 1 && cells(r * np + 1) > b1) r = seek(r + 1, c0 + 1, a1)
+            else {
+              var i = 2
+              while (i < np && lo(i) <= cells(r * np + i) && cells(r * np + i) <= hi(i)) i += 1
+              if (i >= np && r != own) emit(q, qm, r)
+              r += 1
             }
           }
-        } else if (GridGeometry.cellCellMatched(cs, cq, tau)) {
-          val qs = cq.subtreePayloads.toArray
-          cs.leaves.foreach { leaf =>
-            var i = 0
-            while (i < qs.length) { res.matchingPairs.add(qs(i), leaf.id); i += 1 }
-          }
-        } else if (!GridGeometry.cellCellFiltered(cs, cq, tau)) {
-          descend(cq, cs, queryMapped, tau, quickBrowsing, res)
         }
-        b += 1
       }
-      a += 1
     }
+    res
   }
 }

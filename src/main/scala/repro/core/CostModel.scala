@@ -64,7 +64,7 @@ final class CostModel(
   }
 
   /** Number of distinct occupied cells of `vectors` at integer level l —
-    * the exact sparse-grid width the blocking descent walks.
+    * the exact sparse-grid width the paper's blocking descent walks.
     */
   private def distinctCells(vectors: Array[Array[Double]], level: Int): Int = {
     val cellsPerDim = 1 << level
@@ -85,8 +85,8 @@ final class CostModel(
   /** Eq. 1 estimate for a workload of (mapped query column, τ) pairs at
     * level m, plus the index-access overhead the paper's tuning discussion
     * trades against it ("a trade-off between candidate number and inverted
-    * index access"): the blocking descent compares query cells with target
-    * cells level by level, so the overhead is
+    * index access"): the paper's blocking descent compares query cells
+    * with target cells level by level, so the overhead is
     * `Σ_{l≤m} qcells(l) · tcells(l)`, weighted by the cost ratio of a
     * |P|-dimensional box test to a full-dimensional distance computation.
     */

@@ -1,42 +1,68 @@
 package repro.core
 
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
 
-/** Sparse hierarchical grid over the pivot space (paper Section III-B).
+/** Sparse grid over the pivot space (paper Section III-B), kept as its
+  * non-empty leaf cells alone.
   *
-  * The pivot space `[0, extent]^|P|` is partitioned into `2^(|P|·i)`
-  * hyper-cells at level `i ∈ [1..m]`; only non-empty cells are
-  * materialized. Two grids are built per search: `HG_Q` (stores query
-  * vector ids in its leaves) and `HG_SV` (leaves carry no vectors — the
-  * target vectors live in the inverted index keyed by leaf cell).
+  * A leaf is one coordinate in `[0, 2^m)` per pivot, and its box in
+  * dimension i is `[c_i·w, (c_i+1)·w]` with `w = extent / 2^m`. Leaves are
+  * sorted lexicographically and a leaf's id is its rank. The paper's levels
+  * `l < m` are not stored: the level-l cell of leaf c is `c >> k` with
+  * `k = m - l`, and its box `(c >> k)·(extent / 2^l)` is the same double as
+  * `((c >> k) << k)·w`, so inner boxes nest exactly on the leaf boxes.
   *
-  * Every leaf gets a dense id, `0 until numLeaves`, in creation order; the
-  * inverted index and the blocking output refer to leaf cells by that id.
+  * `HG_Q` is filled by [[insert]] with query vector ids as payloads;
+  * `HG_SV` wraps an index's sorted `cellCoords` and takes no inserts.
   *
   * `extent` defaults to slightly above the max distance between unit
   * vectors (2.0) so floating-point noise never pushes a mapped coordinate
   * outside the grid.
   */
-final class HierarchicalGrid(
+final class HierarchicalGrid private[core] (
     val numDims: Int,
     val levels: Int,
-    val extent: Double = HierarchicalGrid.DefaultExtent,
+    val extent: Double,
+    /** the leaves of an index (not copied, see [[HierarchicalGrid.cellsProblem]]), or null */
+    fixedCells: Array[Int],
 ) {
-  require(numDims >= 1 && levels >= 1 && levels <= HierarchicalGrid.MaxLevels,
-    s"bad grid shape: dims=$numDims levels=$levels (levels must be 1..${HierarchicalGrid.MaxLevels})")
+  def this(numDims: Int, levels: Int, extent: Double = HierarchicalGrid.DefaultExtent) =
+    this(numDims, levels, extent, null)
 
-  import HierarchicalGrid.CellKey
+  require(numDims >= 1 && levels >= 1 && levels <= HierarchicalGrid.MaxLevels && extent > 0,
+    s"bad grid shape: dims=$numDims levels=$levels extent=$extent (levels must be 1..${HierarchicalGrid.MaxLevels})")
 
-  private val leafNodes = mutable.ArrayBuffer.empty[GridNode]
+  import HierarchicalGrid.{CellKey, Leaf, compareRows}
 
-  val root: GridNode = new GridNode(0, Array.empty[Int])
+  /** Leaf cells per dimension, and their edge length. */
+  val side: Int = 1 << levels
+  val width: Double = widthAt(levels)
 
-  /** Number of materialized leaf cells. */
-  def numLeaves: Int = leafNodes.length
+  // Inserted leaf coordinates (row-major) and payloads. As of the last
+  // `seal`, leaf c holds the payloads `members(start(c) until start(c + 1))`,
+  // -1 where none was given.
+  private[this] var rows = new Array[Int](0)
+  private[this] var ids = new Array[Int](0)
+  private[this] var numInserted = 0
+  private[this] var numSealed = 0
+  private[this] var sorted = if (fixedCells == null) Array.emptyIntArray else fixedCells
+  private[this] var start: Array[Int] = null
+  private[this] var members: Array[Int] = null
 
-  /** The leaf cell with dense id `id`. */
-  def leafAt(id: Int): GridNode = leafNodes(id)
+  private def seal(): Unit = if (numSealed != numInserted) {
+    val order = HierarchicalGrid.sortRows(Array.range(0, numInserted), rows, numDims, levels)
+    val first = order.indices.filter(i => i == 0 || compareRows(rows, order(i - 1), rows, order(i) * numDims, numDims) != 0)
+    sorted = first.toArray.flatMap(i => rows.slice(order(i) * numDims, (order(i) + 1) * numDims))
+    start = (first :+ numInserted).toArray
+    members = order.map(ids)
+    numSealed = numInserted
+  }
+
+  /** Leaf coordinates, row-major: leaf c is `cells(c·numDims until (c+1)·numDims)`. */
+  private[core] def cells: Array[Int] = { seal(); sorted }
+
+  /** Number of non-empty leaf cells. */
+  def numLeaves: Int = cells.length / numDims
 
   /** Cell edge length at `level`. */
   def widthAt(level: Int): Double = extent / (1 << level)
@@ -55,108 +81,55 @@ final class HierarchicalGrid(
     out
   }
 
-  /** Insert a mapped vector, materializing its path of cells; returns the
-    * leaf cell. `payload >= 0` is recorded in the leaf (HG_Q stores query
-    * vector indices; pass -1 for HG_SV).
+  /** Insert a mapped vector; returns its leaf's coordinates. `payload >= 0`
+    * is recorded in the leaf (HG_Q stores query vector indices).
     */
-  def insert(mapped: Array[Double], payload: Int): GridNode = {
-    val node = insertLeaf(coordsAt(mapped, levels))
-    if (payload >= 0) node.payloads += payload
-    node
-  }
-
-  /** Materialize the path to the leaf cell with coordinates `leaf`; returns
-    * the leaf. A cell's coordinates at level l are its leaf coordinates
-    * shifted right by `levels - l`, the same cell [[coordsAt]] gives at l.
-    */
-  def insertLeaf(leaf: Array[Int]): GridNode = {
-    var node = root
-    var lvl = 1
-    while (lvl <= levels) {
-      val shift = levels - lvl
-      val coords = new Array[Int](numDims)
-      var i = 0
-      while (i < numDims) { coords(i) = leaf(i) >> shift; i += 1 }
-      node = node.childOrCreate(ArraySeq.unsafeWrapArray(coords), lvl)
-      lvl += 1
+  def insert(mapped: Array[Double], payload: Int): CellKey = {
+    if (fixedCells != null) throw new UnsupportedOperationException("the leaves of an index are fixed")
+    if (numInserted == ids.length) {
+      rows = java.util.Arrays.copyOf(rows, math.max(8, 2 * numInserted) * numDims)
+      ids = java.util.Arrays.copyOf(ids, math.max(8, 2 * numInserted))
     }
-    node
+    System.arraycopy(coordsAt(mapped, levels), 0, rows, numInserted * numDims, numDims)
+    ids(numInserted) = math.max(-1, payload)
+    numInserted += 1
+    ArraySeq.unsafeWrapArray(rows.slice((numInserted - 1) * numDims, numInserted * numDims))
   }
 
-  /** All materialized leaf cells. */
-  def leafCells: Iterator[GridNode] = {
-    def rec(n: GridNode): Iterator[GridNode] =
-      if (n.level == levels) Iterator.single(n)
-      else n.children.valuesIterator.flatMap(rec)
-    rec(root)
-  }
-
-  /** Look up the leaf node for a leaf cell key, if materialized. */
-  def leaf(key: CellKey): Option[GridNode] = {
-    var node = root
-    var lvl = 1
-    while (lvl <= levels) {
-      val shift = levels - lvl
-      val k = ArraySeq.unsafeWrapArray(key.toArray.map(_ >> shift))
-      node.children.get(k) match {
-        case Some(c) => node = c
-        case None    => return None
-      }
-      lvl += 1
+  /** Id of the leaf with coordinates `coords(off until off + numDims)`, or -1. */
+  private[core] def find(coords: Array[Int], off: Int): Int = {
+    val cs = cells
+    var lo = 0
+    var hi = cs.length / numDims
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      val cmp = compareRows(cs, mid, coords, off, numDims)
+      if (cmp == 0) return mid
+      if (cmp < 0) lo = mid + 1 else hi = mid
     }
-    Some(node)
+    -1
   }
 
-  /** A grid cell. `coords` are absolute per-dimension indices at `level`;
-    * the root is level 0 with empty coords.
-    */
-  final class GridNode(val level: Int, val coords: Array[Int]) {
-    val children: mutable.HashMap[CellKey, GridNode] = mutable.HashMap.empty
-    /** Query vector indices (HG_Q leaves only). */
-    val payloads: mutable.ArrayBuffer[Int] = new mutable.ArrayBuffer[Int](0)
-    /** Dense leaf id (see class doc); -1 for inner cells. */
-    val id: Int = if (level == levels) { leafNodes += this; leafNodes.length - 1 } else -1
-    private[this] val width = widthAt(level)
-    /** `children` values in iteration order; reset when a child is added.
-      * Volatile so that concurrent searches only see a filled array.
-      */
-    @volatile private[this] var kidsCache: Array[HierarchicalGrid#GridNode] = null
+  /** Coordinates of leaf `id`. */
+  def key(id: Int): CellKey = ArraySeq.unsafeWrapArray(cells.slice(id * numDims, (id + 1) * numDims))
 
-    def isLeaf: Boolean = level == levels
-    def key: CellKey = ArraySeq.unsafeWrapArray(coords)
+  private def leafAt(id: Int): Leaf = Leaf(id, key(id),
+    if (start == null) ArraySeq.empty[Int] else ArraySeq.unsafeWrapArray(members.slice(start(id), start(id + 1)).filter(_ >= 0)))
 
-    def childOrCreate(k: CellKey, lvl: Int): GridNode =
-      children.getOrElseUpdate(k, { kidsCache = null; new GridNode(lvl, k.toArray) })
+  /** All non-empty leaf cells, by id. */
+  def leafCells: Iterator[Leaf] = Iterator.range(0, numLeaves).map(leafAt)
 
-    /** The children as an array, in the order of `children.valuesIterator`. */
-    def kids: Array[HierarchicalGrid#GridNode] = {
-      var k = kidsCache
-      if (k == null) { k = children.valuesIterator.toArray[HierarchicalGrid#GridNode]; kidsCache = k }
-      k
-    }
-
-    /** Lower box corner in dimension i. */
-    def lo(i: Int): Double = coords(i) * width
-    /** Upper box corner in dimension i. */
-    def hi(i: Int): Double = (coords(i) + 1) * width
-
-    /** All leaf descendants (self if leaf). */
-    def leaves: Iterator[GridNode] =
-      if (isLeaf) Iterator.single(this)
-      else children.valuesIterator.flatMap(_.leaves)
-
-    /** All payloads in the subtree (query vector ids for HG_Q). */
-    def subtreePayloads: Iterator[Int] =
-      if (isLeaf) payloads.iterator
-      else children.valuesIterator.flatMap(_.subtreePayloads)
-
-    override def toString: String = s"Cell(l=$level, ${coords.mkString(",")})"
-  }
+  /** The leaf cell with coordinates `key`, if non-empty. */
+  def leaf(key: CellKey): Option[Leaf] =
+    Some(if (key.length == numDims) find(key.toArray, 0) else -1).filter(_ >= 0).map(leafAt)
 }
 
 object HierarchicalGrid {
   /** Leaf-cell identifier: absolute coordinates at the leaf level. */
   type CellKey = ArraySeq[Int]
+
+  /** A non-empty leaf cell: its id, coordinates and payloads. */
+  final case class Leaf(id: Int, key: CellKey, payloads: IndexedSeq[Int])
 
   /** Deepest level: `1 << level` cells per dimension must stay a positive
     * `Int`, or cell widths and boxes go wrong and the lemmas report false
@@ -166,4 +139,48 @@ object HierarchicalGrid {
 
   /** Slightly above the unit-vector max distance 2.0 — see class doc. */
   val DefaultExtent: Double = 2.0 + 1e-6
+
+  /** Why `cells` are not the leaves of a grid: a coordinate outside
+    * `[0, 2^levels)`, or rows not strictly increasing.
+    */
+  private[core] def cellsProblem(cells: Array[Int], numDims: Int, levels: Int): Option[String] = {
+    var i = 0
+    while (i < cells.length) {
+      val c = i / numDims
+      if (cells(i) < 0 || cells(i) >= (1 << levels))
+        return Some(s"leaf cell $c has coordinate ${cells(i)} at pivot ${i % numDims}, outside [0, ${1 << levels})")
+      if (i % numDims == 0 && c > 0 && compareRows(cells, c - 1, cells, i, numDims) >= 0)
+        return Some(s"leaf cells ${c - 1} and $c are not in strictly increasing order")
+      i += 1
+    }
+    None
+  }
+
+  /** Row `r` of `a` against `b(off until off + n)`, lexicographically. */
+  private[core] def compareRows(a: Array[Int], r: Int, b: Array[Int], off: Int, n: Int): Int = {
+    var i = 0
+    while (i < n && a(r * n + i) == b(off + i)) i += 1
+    if (i == n) 0 else Integer.compare(a(r * n + i), b(off + i))
+  }
+
+  /** `order` reordered stably by the rows `rows(e·numDims until
+    * (e+1)·numDims)` of its elements e, lexicographically: an LSD radix
+    * sort, one counting sort per byte of a coordinate.
+    */
+  private[core] def sortRows(order: Array[Int], rows: Array[Int], numDims: Int, levels: Int): Array[Int] = {
+    var out = order
+    for (d <- numDims - 1 to 0 by -1; shift <- 0 until levels by 8)
+      out = stableSort(out, Array.tabulate(rows.length / numDims)(e => (rows(e * numDims + d) >>> shift) & 0xff), 256)
+    out
+  }
+
+  /** `in` reordered stably by `key(in(i))` ∈ `[0, numKeys)`. */
+  private[core] def stableSort(in: Array[Int], key: Array[Int], numKeys: Int): Array[Int] = {
+    val start = new Array[Int](numKeys + 1)
+    in.foreach(e => start(key(e) + 1) += 1)
+    for (k <- 0 until numKeys) start(k + 1) += start(k)
+    val out = new Array[Int](in.length)
+    in.foreach { e => out(start(key(e))) = e; start(key(e)) += 1 }
+    out
+  }
 }

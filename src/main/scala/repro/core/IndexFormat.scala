@@ -27,17 +27,17 @@ import java.util.zip.CRC32C
   * boundary, `mapped` and `vectors` (doubles). Last comes the CRC32C of
   * everything before it, header included.
   *
-  * A read checks, in order, the magic, the version, that the header counts
+  * Since version 2 the leaf cells in `cellCoords` are sorted. A read checks, in order, the magic, the version, that the header counts
   * are valid (m at most [[HierarchicalGrid.MaxLevels]]), that the file size
-  * is the one the header implies, and the checksum; a failure is an
-  * `IOException` naming the file and the check. `HG_SV` is not stored:
-  * it is rebuilt from `cellCoords` with the same leaf ids.
+  * is the one the header implies, the checksum, and that the leaf
+  * coordinates are strictly increasing and each in `[0, 2^m)`; a failure
+  * is an `IOException` naming the file and the check.
   */
 object IndexFormat {
 
   /** "PXSO" in file byte order. */
   val Magic: Int = 0x4f535850
-  val Version: Int = 1
+  val Version: Int = 2
   val HeaderBytes: Int = 56
 
   /** Arrays are copied and checksummed in slices of this many bytes, small
@@ -166,6 +166,7 @@ object IndexFormat {
       val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
       val computed = in.checksum
       if (stored != computed) fail(s"checksum mismatch: stored ${hex(stored)}, computed ${hex(computed)}")
+      HierarchicalGrid.cellsProblem(cellCoords, np, levels).foreach(p => fail(s"bad leaf cells: $p"))
 
       val inverted = InvertedIndex.fromArrays(np, dim, levels, h.getDouble(40), colIds, cellCoords,
         cellSeg, segCol, segStart, mapped, vectors)

@@ -11,15 +11,15 @@ import repro.core.HierarchicalGrid.CellKey
   * (document-at-a-time) order that lets verification process one column's
   * candidates together and apply the early-termination rules (joinability
   * reached, or Lemma 7 says the column can no longer reach `T`), and the
-  * distinct columns of a cell for Lemma 5/6 matches.
+  * distinct columns of a cell for Lemma 5 matches.
   *
   * Columns are dense indices `0 until numColumns`, in ascending order of
   * their ids `colIds`. Posting p's pivot image is
   * `mapped(p·numPivots until (p+1)·numPivots)` and its vector
   * `vectors(p·dim until (p+1)·dim)`.
   *
-  * [[IndexFormat]] stores these arrays; `HG_SV` is rebuilt from the leaf
-  * coordinates when an index is read back, with the same leaf ids.
+  * Cell c is leaf c of `HG_SV`, which wraps `cellCoords`. [[IndexFormat]]
+  * stores these arrays; reading them back rebuilds nothing.
   */
 final class InvertedIndex private (
     val dim: Int,
@@ -54,9 +54,8 @@ final class InvertedIndex private (
 
 object InvertedIndex {
 
-  /** An index read back from its arrays. `HG_SV` is rebuilt with leaf c at
-    * `cellCoords(c·numPivots until (c+1)·numPivots)`: inserting the leaves
-    * in id order gives each its id back.
+  /** An index over its arrays; `cellCoords` must be strictly increasing
+    * rows of coordinates in `[0, 2^levels)`.
     */
   private[core] def fromArrays(
       numPivots: Int,
@@ -70,36 +69,13 @@ object InvertedIndex {
       segStart: Array[Int],
       mapped: Array[Double],
       vectors: Array[Double],
-  ): InvertedIndex = {
-    val grid = new HierarchicalGrid(numPivots, levels, extent)
-    var c = 0
-    while (c * numPivots < cellCoords.length) {
-      grid.insertLeaf(java.util.Arrays.copyOfRange(cellCoords, c * numPivots, (c + 1) * numPivots))
-      c += 1
-    }
-    new InvertedIndex(dim, colIds, cellCoords, cellSeg, segCol, segStart, mapped, vectors, grid)
-  }
-
-  /** `in` reordered stably by `key(in(i))` ∈ `[0, numKeys)`, and the
-    * start of each key's run (`numKeys + 1` offsets).
-    */
-  private def stableSort(in: Array[Int], key: Array[Int], numKeys: Int): (Array[Int], Array[Int]) = {
-    val start = new Array[Int](numKeys + 1)
-    var i = 0
-    while (i < in.length) { start(key(in(i)) + 1) += 1; i += 1 }
-    var k = 0
-    while (k < numKeys) { start(k + 1) += start(k); k += 1 }
-    val fill = start.clone()
-    val out = new Array[Int](in.length)
-    i = 0
-    while (i < in.length) { val kk = key(in(i)); out(fill(kk)) = in(i); fill(kk) += 1; i += 1 }
-    (out, start)
-  }
+  ): InvertedIndex =
+    new InvertedIndex(dim, colIds, cellCoords, cellSeg, segCol, segStart, mapped, vectors,
+      new HierarchicalGrid(numPivots, levels, extent, cellCoords))
 
   /** Build from the repository vectors in input order.
     *
-    * @param grid    `HG_SV` holding every vector; `cell(p)` is the id of the
-    *                leaf vector p went into
+    * @param grid    an empty grid of the index's shape (|P|, m, extent)
     * @param colIds  column ids, ascending and distinct
     * @param col     dense column of vector p
     * @param mapped  pivot image of vector p
@@ -108,38 +84,35 @@ object InvertedIndex {
   def build(
       grid: HierarchicalGrid,
       colIds: Array[Int],
-      cell: Array[Int],
       col: Array[Int],
       mapped: Array[Array[Double]],
       vecs: Array[Array[Double]],
   ): InvertedIndex = {
-    val n = cell.length
-    val numCells = grid.numLeaves
+    val n = col.length
     val np = grid.numDims
     val dim = if (n == 0) 0 else vecs(0).length
+    val leaf = new Array[Int](n * np)
+    for (p <- 0 until n) System.arraycopy(grid.coordsAt(mapped(p), grid.levels), 0, leaf, p * np, np)
 
-    // Two stable counting sorts, by column then by cell, order the
+    // Stable sorts, by column and then by leaf coordinates, order the
     // postings by (cell, column), ties in input order.
-    val (byCol, _) = stableSort(Array.range(0, n), col, colIds.length)
-    val (order, cellStart) = stableSort(byCol, cell, numCells)
+    val order = HierarchicalGrid.sortRows(
+      HierarchicalGrid.stableSort(Array.range(0, n), col, colIds.length), leaf, np, grid.levels)
 
-    val cellSeg = new Array[Int](numCells + 1)
+    val cellCoords = new mutable.ArrayBuilder.ofInt
+    val cellSeg = new mutable.ArrayBuilder.ofInt
     val segCol = new mutable.ArrayBuilder.ofInt
     val segStart = new mutable.ArrayBuilder.ofInt
     var numSegs = 0
-    var c = 0
     var p = 0
-    while (c < numCells) {
-      cellSeg(c) = numSegs
-      var prevCol = -1
-      while (p < cellStart(c + 1)) {
-        val k = col(order(p))
-        if (k != prevCol) { segCol += k; segStart += p; numSegs += 1; prevCol = k }
-        p += 1
-      }
-      c += 1
+    while (p < n) {
+      val e = order(p)
+      val newCell = p == 0 || HierarchicalGrid.compareRows(leaf, order(p - 1), leaf, e * np, np) != 0
+      if (newCell) { cellCoords.addAll(leaf, e * np, np); cellSeg += numSegs }
+      if (newCell || col(e) != col(order(p - 1))) { segCol += col(e); segStart += p; numSegs += 1 }
+      p += 1
     }
-    cellSeg(numCells) = numSegs
+    cellSeg += numSegs
     segStart += n
 
     // Copy in input order, which reads the source vectors sequentially.
@@ -155,11 +128,7 @@ object InvertedIndex {
       src += 1
     }
 
-    val cellCoords = new Array[Int](numCells * np)
-    c = 0
-    while (c < numCells) { System.arraycopy(grid.leafAt(c).coords, 0, cellCoords, c * np, np); c += 1 }
-
-    new InvertedIndex(dim, colIds, cellCoords, cellSeg, segCol.result(), segStart.result(),
-      flatMapped, flatVecs, grid)
+    fromArrays(np, dim, grid.levels, grid.extent, colIds, cellCoords.result(), cellSeg.result(), segCol.result(),
+      segStart.result(), flatMapped, flatVecs)
   }
 }

@@ -11,7 +11,7 @@ object VerifyMode {
 }
 
 /** A built PEXESO index over one repository (or one partition of it):
-  * selected pivots, the hierarchical grid `HG_SV` over mapped repository
+  * selected pivots, the grid leaves `HG_SV` over mapped repository
   * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
   *
   * The out-of-core path (Section IV) spills one index per partition to
@@ -131,8 +131,9 @@ object PexesoIndex {
   /** Build a PEXESO index for a repository of columns.
     *
     * Pipeline (paper Section III-E): PCA-based pivot selection on a sample
-    * (O(|S_V|)), pivot mapping of every vector (O(|P|·|S_V|)), hierarchical
-    * grid + inverted index construction (O(m·|S_V| + D)).
+    * (O(|S_V|)), pivot mapping of every vector (O(|P|·|S_V|)), and the
+    * inverted index over the sorted leaf cells, one radix pass per byte of
+    * a leaf coordinate (O(|P|·⌈m/8⌉·|S_V| + D)).
     *
     * @param columns   the repository, with unique column ids
     * @param numPivots |P|
@@ -158,7 +159,6 @@ object PexesoIndex {
     val colIds = sortedColumnIds(columns)
     // a lake of fewer than numPivots distinct vectors yields fewer pivots
     val grid = new HierarchicalGrid(pivots.numPivots, levels, extent)
-    val cell = new Array[Int](all.length)
     val col = new Array[Int](all.length)
     val mapped = new Array[Array[Double]](all.length)
     var p = 0
@@ -168,12 +168,11 @@ object PexesoIndex {
         val m = pivots.map(v)
         checkMapped(m, extent, "repository vector")
         mapped(p) = m
-        cell(p) = grid.insert(m, -1).id
         col(p) = k
         p += 1
       }
     }
-    val inverted = InvertedIndex.build(grid, colIds, cell, col, mapped, all)
+    val inverted = InvertedIndex.build(grid, colIds, col, mapped, all)
     val t1 = System.nanoTime()
 
     new PexesoIndex(pivots, inverted, buildNanos = t1 - t0)

@@ -21,7 +21,7 @@ class BlockSpec extends AnyFunSuite {
       else TestData.unitVec(rng, dim))
     val pivots = PivotSelection.pcaPivots(targets.toIndexedSeq, numPivots)
     val hgS = new HierarchicalGrid(numPivots, levels)
-    val targetLeaf = targets.map(t => hgS.insert(pivots.map(t), -1).key)
+    val targetLeaf = targets.map(t => hgS.insert(pivots.map(t), -1))
     val hgQ = new HierarchicalGrid(numPivots, levels)
     val queryMapped = pivots.mapAll(queries)
     queries.indices.foreach(i => hgQ.insert(queryMapped(i), i))
@@ -95,6 +95,20 @@ class BlockSpec extends AnyFunSuite {
     val hgS = new HierarchicalGrid(2, 3)
     intercept[IllegalArgumentException] {
       Block.run(hgQ, hgS, Array(Array(0.5, 0.5)), 0.1)
+    }
+  }
+
+  test("mismatched pivot counts or extents are rejected") {
+    // another |P| would index past the query's pivot images; another
+    // extent would let quick browsing pair equal keys of different regions
+    for (hgS <- Seq(new HierarchicalGrid(3, 2), new HierarchicalGrid(2, 2, extent = 4.0))) {
+      val hgQ = new HierarchicalGrid(2, 2)
+      hgQ.insert(Array(0.5, 0.5), 0)
+      hgS.insert(Array(0.5, 0.5, 0.5).take(hgS.numDims), -1)
+      val e = intercept[IllegalArgumentException] {
+        Block.run(hgQ, hgS, Array(Array(0.5, 0.5)), 0.1)
+      }
+      assert(e.getMessage.contains("same shape"), e.getMessage)
     }
   }
 }

@@ -5,10 +5,11 @@ import scala.util.Random
 import repro.TestData
 import repro.embed.VectorOps
 
-/** Randomized soundness checks for Lemmas 3–6: whenever a lemma claims
+/** Randomized soundness checks for Lemmas 3 and 5: whenever a lemma claims
   * "filtered", no contained vector may match; whenever it claims
   * "matched", every contained vector must match — verified against exact
-  * distances in the original space.
+  * distances in the original space. Also: the Lemma 3 ranges decide
+  * exactly what the box test decides.
   */
 class GridGeometrySpec extends AnyFunSuite {
 
@@ -30,13 +31,13 @@ class GridGeometrySpec extends AnyFunSuite {
   }
 
   test("Lemma 3 soundness: vector-cell filtered => no vector in the cell matches") {
-    val (rng, pivots, tLeaves, _, _, _) = world(1)
+    val (rng, pivots, tLeaves, _, hgS, _) = world(1)
     (1 to 100).foreach { _ =>
       val q = TestData.unitVec(rng, dim)
       val qm = pivots.map(q)
       val tau = rng.nextDouble() * 0.8
       tLeaves.foreach { case (t, leaf) =>
-        if (GridGeometry.vectorCellFiltered(leaf, qm, tau))
+        if (GridGeometry.vectorCellFiltered(leaf.toArray, 0, hgS.width, qm, tau))
           assert(VectorOps.euclidean(q, t) > tau, "Lemma 3 filtered a match")
       }
     }
@@ -51,8 +52,8 @@ class GridGeometrySpec extends AnyFunSuite {
       val qm = pivots.map(q)
       val tau = 0.3 + rng.nextDouble() * 0.8
       hgS.leafCells.foreach { leaf =>
-        if (GridGeometry.vectorCellMatched(leaf, qm, tau)) {
-          tLeaves.filter(_._2 eq leaf).foreach { case (t, _) =>
+        if (GridGeometry.vectorCellMatched(leaf.key.toArray, 0, hgS.width, qm, tau)) {
+          tLeaves.filter(_._2 == leaf.key).foreach { case (t, _) =>
             assert(VectorOps.euclidean(q, t) <= tau + 1e-9, "Lemma 5 matched a non-match")
           }
         }
@@ -60,59 +61,75 @@ class GridGeometrySpec extends AnyFunSuite {
     }
   }
 
-  test("Lemma 4 soundness: cell-cell filtered => no cross pair matches") {
-    val (rng, _, tLeaves, qLeaves, hgS, hgQ) = world(3)
-    val tau = 0.2
-    for {
-      qLeaf <- hgQ.leafCells
-      tLeaf <- hgS.leafCells
-      if GridGeometry.cellCellFiltered(tLeaf, qLeaf, tau)
-      (q, ql) <- qLeaves if ql eq qLeaf
-      (t, tl) <- tLeaves if tl eq tLeaf
-    } assert(VectorOps.euclidean(q, t) > tau, "Lemma 4 filtered a match")
-    assert(rng != null)
-  }
-
-  test("Lemma 6 soundness: cell-cell matched => every cross pair matches") {
-    val (rng, _, tLeaves, qLeaves, hgS, hgQ) = world(4)
-    (1 to 8).foreach { k =>
-      val tau = 0.2 + 0.2 * k
-      for {
-        qLeaf <- hgQ.leafCells
-        tLeaf <- hgS.leafCells
-        if GridGeometry.cellCellMatched(tLeaf, qLeaf, tau)
-        (q, ql) <- qLeaves if ql eq qLeaf
-        (t, tl) <- tLeaves if tl eq tLeaf
-      } assert(VectorOps.euclidean(q, t) <= tau + 1e-9, "Lemma 6 matched a non-match")
-    }
-    assert(rng != null)
-  }
-
   test("Lemma 4 is implied by Lemma 3 for degenerate query cells") {
-    // a query cell and a mapped vector at its center: cell-cell filtering
-    // with an inflated box must be weaker (filter less) than vector-cell
-    val (rng, pivots, _, _, hgS, hgQ) = world(5)
-    val q = TestData.unitVec(rng, dim)
-    val qm = pivots.map(q)
-    val qLeaf = hgQ.insert(qm, 99)
-    val tau = 0.3
-    hgS.leafCells.foreach { tLeaf =>
-      if (GridGeometry.cellCellFiltered(tLeaf, qLeaf, tau))
-        assert(GridGeometry.vectorCellFiltered(tLeaf, qm, tau),
-          "cell-cell filtered but vector-cell (stronger) did not")
+    // Lemma 4 on the level-l boxes, the query cell's box inflated by τ,
+    // filters only leaves that Lemma 3 filters for a query vector inside
+    // the query cell: the reason the probe needs no inner level
+    val (rng, pivots, _, _, hgS, _) = world(5, levels = 5)
+    val w = hgS.width
+    (1 to 50).foreach { _ =>
+      val qm = pivots.map(TestData.unitVec(rng, dim))
+      val qLeaf = hgS.coordsAt(qm, hgS.levels)
+      val tau = rng.nextDouble() * 0.5
+      (1 to hgS.levels).foreach { l =>
+        val k = hgS.levels - l
+        val wl = hgS.widthAt(l)
+        val inBox = qm.indices.forall(i => (qLeaf(i) >> k) * wl <= qm(i) && qm(i) <= ((qLeaf(i) >> k) + 1) * wl)
+        hgS.leafCells.foreach { tLeaf =>
+          val lemma4 = qm.indices.exists { i =>
+            val (c, cq) = (tLeaf.key(i) >> k, qLeaf(i) >> k)
+            c * wl > (cq + 1) * wl + tau || (c + 1) * wl < cq * wl - tau
+          }
+          if (inBox && lemma4)
+            assert(GridGeometry.vectorCellFiltered(tLeaf.key.toArray, 0, w, qm, tau),
+              s"level $l filtered by Lemma 4 but leaf ${tLeaf.key} not by Lemma 3")
+        }
+      }
     }
   }
 
   test("match and filter never fire together on the same pair") {
-    val (rng, _, _, _, hgS, hgQ) = world(6)
+    val (rng, pivots, tLeaves, _, hgS, _) = world(6)
     (1 to 5).foreach { k =>
       val tau = 0.2 * k
-      for {
-        qLeaf <- hgQ.leafCells
-        tLeaf <- hgS.leafCells
-      } assert(!(GridGeometry.cellCellMatched(tLeaf, qLeaf, tau) &&
-                 GridGeometry.cellCellFiltered(tLeaf, qLeaf, tau)))
+      (1 to 20).foreach { _ =>
+        val qm = pivots.map(TestData.near(rng, tLeaves(rng.nextInt(tLeaves.length))._1, 0.1))
+        hgS.leafCells.foreach { leaf =>
+          val key = leaf.key.toArray
+          assert(!(GridGeometry.vectorCellMatched(key, 0, hgS.width, qm, tau) &&
+                   GridGeometry.vectorCellFiltered(key, 0, hgS.width, qm, tau)))
+        }
+      }
     }
-    assert(rng != null)
+  }
+
+  test("the Lemma 3 ranges decide exactly what the box test decides") {
+    val rng = new Random(7)
+    for (levels <- Seq(1, 2, 3, 5, 8); extent <- Seq(2.0 + 1e-6, 1.0, 0.3)) {
+      val g = new HierarchicalGrid(1, levels, extent)
+      val (lo, hi) = (new Array[Int](1), new Array[Int](1))
+      (1 to 300).foreach { t =>
+        // values and τ on grid lines, just off them, and anywhere
+        val onLine = (rng.nextInt(g.side + 1)) * g.width
+        val qm = Array(rng.nextInt(4) match {
+          case 0 => onLine
+          case 1 => math.nextUp(onLine)
+          case 2 => math.nextDown(onLine)
+          case _ => rng.nextDouble() * extent
+        })
+        val tau = t % 5 match {
+          case 0 => 0.0
+          case 1 => rng.nextInt(4) * g.width
+          case 2 => extent * (1 + rng.nextDouble())
+          case _ => rng.nextDouble() * extent / 2
+        }
+        val nonEmpty = GridGeometry.lemma3Range(qm, tau, g.width, g.side, lo, hi)
+        assert(nonEmpty == (lo(0) <= hi(0)))
+        (0 until g.side).foreach { c =>
+          assert((lo(0) <= c && c <= hi(0)) == !GridGeometry.vectorCellFiltered(Array(c), 0, g.width, qm, tau),
+            s"Lemma 3 range [${lo(0)}, ${hi(0)}] at c=$c q=${qm(0)} tau=$tau m=$levels")
+        }
+      }
+    }
   }
 }

@@ -25,44 +25,44 @@ class HierarchicalGridSpec extends AnyFunSuite {
     assert(g.coordsAt(Array(-0.5), 2).toSeq == Seq(0))
   }
 
-  test("insert materializes the full path and stores the payload at the leaf") {
+  test("insert stores the payload at its leaf") {
     val g = new HierarchicalGrid(2, 3)
-    val leaf = g.insert(Array(0.3, 0.7), payload = 42)
-    assert(leaf.isLeaf)
-    assert(leaf.payloads.toSeq == Seq(42))
-    assert(g.root.children.size == 1)
+    val key = g.insert(Array(0.3, 0.7), payload = 42)
+    assert(key == ArraySeq(1, 2))
+    assert(g.leafCells.toSeq == Seq(HierarchicalGrid.Leaf(0, key, IndexedSeq(42))))
   }
 
   test("insert with payload -1 leaves the leaf payload empty (HG_SV style)") {
     val g = new HierarchicalGrid(2, 2)
-    val leaf = g.insert(Array(0.3, 0.7), payload = -1)
-    assert(leaf.payloads.isEmpty)
+    val key = g.insert(Array(0.3, 0.7), payload = -1)
+    assert(g.leaf(key).get.payloads.isEmpty)
   }
 
   test("only non-empty cells are materialized") {
     val g = new HierarchicalGrid(2, 2)
     g.insert(Array(0.1, 0.1), 0)
     g.insert(Array(1.9, 1.9), 1)
-    // two leaves, two level-1 cells, nothing else
-    assert(g.leafCells.size == 2)
-    assert(g.root.children.size == 2)
+    assert(g.numLeaves == 2)
+    assert(g.leafCells.map(_.key).toSeq == Seq(ArraySeq(0, 0), ArraySeq(3, 3)))
   }
 
   test("same-cell vectors share one leaf") {
     val g = new HierarchicalGrid(2, 2)
     val a = g.insert(Array(0.10, 0.10), 0)
     val b = g.insert(Array(0.12, 0.11), 1)
-    assert(a eq b)
-    assert(a.payloads.toSeq == Seq(0, 1))
+    assert(a == b)
+    assert(g.numLeaves == 1)
+    assert(g.leaf(a).get.payloads == Seq(0, 1))
   }
 
   test("leaf lookup by key finds the materialized leaf") {
     val g = new HierarchicalGrid(2, 3)
-    val leaf = g.insert(Array(0.3, 1.7), 5)
-    val found = g.leaf(leaf.key)
+    val key = g.insert(Array(0.3, 1.7), 5)
+    val found = g.leaf(key)
     assert(found.isDefined)
-    assert(found.get eq leaf)
+    assert(found.get.key == key && found.get.payloads == Seq(5))
     assert(g.leaf(ArraySeq(7, 7)).isEmpty)
+    assert(g.leaf(ArraySeq(1)).isEmpty)
   }
 
   test("node box bounds contain the inserted vector") {
@@ -70,30 +70,61 @@ class HierarchicalGridSpec extends AnyFunSuite {
     val g = new HierarchicalGrid(3, 4)
     (1 to 200).foreach { i =>
       val v = Array.fill(3)(rng.nextDouble() * 2.0)
-      val leaf = g.insert(v, i)
+      val key = g.insert(v, i)
       (0 until 3).foreach { d =>
-        assert(leaf.lo(d) <= v(d) + 1e-12 && v(d) <= leaf.hi(d) + 1e-12)
+        assert(key(d) * g.width <= v(d) + 1e-12 && v(d) <= (key(d) + 1) * g.width + 1e-12)
       }
     }
   }
 
-  test("subtreePayloads collects everything under a node") {
-    val g = new HierarchicalGrid(1, 2)
-    g.insert(Array(0.1), 1)
-    g.insert(Array(0.4), 2)
-    g.insert(Array(1.5), 3)
-    assert(g.root.subtreePayloads.toSet == Set(1, 2, 3))
-    val leftTop = g.root.children(ArraySeq(0))
-    assert(leftTop.subtreePayloads.toSet == Set(1, 2))
-  }
-
   test("leaves iterator returns exactly the leaf level") {
     val g = new HierarchicalGrid(2, 3)
-    (1 to 50).foreach { i =>
+    val inserted = (1 to 50).map { i =>
       val rng = new Random(i)
-      g.insert(Array(rng.nextDouble() * 2, rng.nextDouble() * 2), i)
+      val v = Array(rng.nextDouble() * 2, rng.nextDouble() * 2)
+      g.insert(v, i)
+      g.coordsAt(v, 3).toSeq
     }
-    assert(g.leafCells.forall(_.level == 3))
+    assert(g.leafCells.map(_.key.toSeq).toSet == inserted.toSet)
+  }
+
+  test("leaves are sorted by coordinates, ids are ranks, and payloads keep insertion order") {
+    val rng = new Random(2)
+    val g = new HierarchicalGrid(3, 2)
+    val vs = Array.fill(300)(Array.fill(3)(rng.nextDouble() * 2.0))
+    vs.indices.foreach(i => g.insert(vs(i), i))
+    val leaves = g.leafCells.toSeq
+    assert(leaves.map(_.id) == leaves.indices)
+    val keys = leaves.map(_.key.toList)
+    assert(keys == keys.sorted(Ordering.Implicits.seqOrdering[List, Int]) && keys.distinct == keys)
+    leaves.foreach { l =>
+      assert(l.payloads == vs.indices.filter(i => g.coordsAt(vs(i), 2).toSeq == l.key))
+      assert(g.leaf(l.key).contains(l))
+    }
+    // inserting after a read re-sorts
+    g.insert(Array(1.99, 0.0, 0.0), 300)
+    assert(g.leaf(ArraySeq(3, 0, 0)).get.payloads.last == 300)
+  }
+
+  test("the leaves of an index cannot be inserted into") {
+    val index = PexesoIndex.build(repro.TestData.clusteredColumns(new Random(3), 3, 5, 4), 2, 2)
+    intercept[UnsupportedOperationException](index.grid.insert(Array(0.5, 0.5), 0))
+  }
+
+  test("inner-level boxes nest exactly on the leaf boxes") {
+    val rng = new Random(4)
+    for (m <- Seq(1, 2, 6, 17, 30); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
+      val g = new HierarchicalGrid(1, m, extent)
+      (1 to 200).foreach { _ =>
+        val c = rng.nextInt(1 << m)
+        (1 until m).foreach { l =>
+          val k = m - l
+          val inner = c >> k
+          assert(inner * g.widthAt(l) == ((inner << k) * g.width), s"lo m=$m l=$l c=$c")
+          assert((inner + 1) * g.widthAt(l) == (((inner + 1) << k) * g.width), s"hi m=$m l=$l c=$c")
+        }
+      }
+    }
   }
 
   test("level count of cells per dim is 2^level") {
@@ -106,5 +137,8 @@ class HierarchicalGridSpec extends AnyFunSuite {
   test("bad shapes rejected") {
     intercept[IllegalArgumentException] { new HierarchicalGrid(0, 2) }
     intercept[IllegalArgumentException] { new HierarchicalGrid(2, 0) }
+    intercept[IllegalArgumentException] { new HierarchicalGrid(2, 31) }
+    intercept[IllegalArgumentException] { new HierarchicalGrid(2, 2, extent = 0.0) }
+    intercept[IllegalArgumentException] { new HierarchicalGrid(2, 2, extent = Double.NaN) }
   }
 }

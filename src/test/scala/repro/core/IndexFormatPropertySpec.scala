@@ -32,8 +32,7 @@ class IndexFormatPropertySpec extends AnyFunSuite {
     same(x.colIds, y.colIds) && same(x.cellCoords, y.cellCoords) && same(x.cellSeg, y.cellSeg) &&
     same(x.segCol, y.segCol) && same(x.segStart, y.segStart) &&
     same(x.mapped, y.mapped) && same(x.vectors, y.vectors) &&
-    x.numCells == y.grid.numLeaves &&
-    (0 until x.numCells).forall(c => same(x.grid.leafAt(c).coords, y.grid.leafAt(c).coords)) &&
+    x.numCells == y.grid.numLeaves && same(y.grid.cells, x.cellCoords) &&
     a.buildNanos == b.buildNanos
   }
 

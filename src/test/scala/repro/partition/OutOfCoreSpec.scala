@@ -169,14 +169,46 @@ class OutOfCoreSpec extends AnyFunSuite {
     assert(msg.contains("version " + (IndexFormat.Version + 1)), msg)
   }
 
+  /** `bytes` with the trailing checksum recomputed. */
+  private def withChecksum(bytes: Array[Byte]): Array[Byte] = {
+    val crc = new CRC32C
+    crc.update(bytes, 0, bytes.length - 4)
+    withInt(bytes, bytes.length - 4, _ => crc.getValue.toInt)
+  }
+
   test("load rejects a header of more than 30 levels, even with a valid checksum") {
-    val (_, msg) = loadFailure(101) { b =>
-      withInt(b, 16, _ => 31)
-      val crc = new CRC32C
-      crc.update(b, 0, b.length - 4)
-      withInt(b, b.length - 4, _ => crc.getValue.toInt)
-    }
+    val (_, msg) = loadFailure(101)(b => withChecksum(withInt(b, 16, _ => 31)))
     assert(msg.contains("invalid header counts") && msg.contains("m=31"), msg)
+  }
+
+  /** Byte offset of int `i` of `cellCoords` in an index file, and its
+    * |P|, m and leaf cell count.
+    */
+  private def cellCoordAt(bytes: Array[Byte], i: Int): (Int, Int, Int, Int) = {
+    val h = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+    val (dim, np, levels, cols, cells) = (h.getInt(8), h.getInt(12), h.getInt(16), h.getInt(20), h.getInt(24))
+    (IndexFormat.HeaderBytes + 8 * np * dim + 4 * cols + 4 * i, np, levels, cells)
+  }
+
+  test("load rejects two swapped leaf cells, even with a valid checksum") {
+    val (_, msg) = loadFailure(103) { b =>
+      val (at, np, _, cells) = cellCoordAt(b, 0)
+      assert(cells >= 2)
+      val first = b.slice(at, at + 4 * np)
+      System.arraycopy(b, at + 4 * np, b, at, 4 * np)
+      System.arraycopy(first, 0, b, at + 4 * np, 4 * np)
+      withChecksum(b)
+    }
+    assert(msg.contains("leaf cells 0 and 1 are not in strictly increasing order"), msg)
+  }
+
+  test("load rejects a leaf coordinate of 2^m, even with a valid checksum") {
+    val (_, msg) = loadFailure(104) { b =>
+      val (_, np, levels, cells) = cellCoordAt(b, 0)
+      val (last, _, _, _) = cellCoordAt(b, cells * np - 1)
+      withChecksum(withInt(b, last, _ => 1 << levels))
+    }
+    assert(msg.contains("bad leaf cells") && msg.contains("coordinate 4 at pivot 1, outside [0, 4)"), msg)
   }
 
   test("search rejects a bad tau or T before it loads a partition") {
