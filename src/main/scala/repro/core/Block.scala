@@ -6,11 +6,16 @@ import repro.core.HierarchicalGrid.CellKey
 /** Pairs of (query vector index, leaf cell id) in two parallel arrays,
   * appended in the order blocking emits them. Entries at `size` and above
   * are spare capacity.
+  *
+  * Blocking emits each query vector's pairs as one run: those of q are
+  * `runStart(q) until runEnd(q)`.
   */
-final class CellPairs {
+final class CellPairs(numQ: Int) {
   var q: Array[Int] = new Array[Int](64)
   var cell: Array[Int] = new Array[Int](64)
   var size: Int = 0
+  val runStart: Array[Int] = new Array[Int](numQ)
+  val runEnd: Array[Int] = new Array[Int](numQ)
 
   def add(qi: Int, cellId: Int): Unit = {
     if (size == q.length) {
@@ -52,25 +57,31 @@ final class BlockResult(
   * exact range probe of the sorted leaves of `HG_SV` per query vector.
   *
   * Lemma 3 gives q a leaf coordinate range per pivot
-  * ([[GridGeometry.lemma3Range]]). The leaves in range are found by binary
-  * search on the first coordinate, skips by binary search on the second,
-  * and integer compares on the rest; Lemma 5 then decides matching or
-  * candidate. The paper's descent through the inner levels with Lemmas 4
+  * ([[GridGeometry.lemma3Range]]). For each first coordinate in range,
+  * binary search bounds the run of leaves whose second coordinate is in
+  * range, and integer compares test the rest; Lemma 5 then decides
+  * matching or candidate. The paper's descent through the inner levels with Lemmas 4
   * and 6 would prune nothing more (see [[GridGeometry]]).
+  *
+  * Lemma 1 holds for any pivot, so the filter pivots beyond the grid's |P|
+  * prune too: Lemma 3 gives q a code range on each, and a leaf whose box
+  * (see [[HierarchicalGrid]]) misses one of them holds no match of q and
+  * is dropped before it is emitted.
   */
 object Block {
 
   /** Run quick browsing followed by Algorithm 1.
     *
     * Each query vector's pairs start with its own leaf, the leaf of `HG_SV`
-    * with the key of its `HG_Q` leaf, if there is one. Quick browsing makes
-    * that pair a candidate without a lemma test, since the cell holds q;
-    * without it, the own leaf is tested like the others. The other leaves
-    * follow in id order.
+    * with the key of its `HG_Q` leaf, if there is one and its box passes.
+    * Quick browsing makes that pair a candidate without a Lemma 3/5 test,
+    * since the cell holds q; without it, the own leaf is tested like the
+    * others. The other leaves follow in id order.
     *
     * @param hgQ         grid over the mapped query vectors (leaves hold q ids)
     * @param hgS         leaves of the mapped repository vectors
-    * @param queryMapped mapped query vectors (indexed by q id)
+    * @param queryMapped mapped query vectors (indexed by q id), on the grid's
+    *                    pivots and then `hgS`'s filter pivots
     * @param tau         distance threshold
     */
   def run(
@@ -83,17 +94,35 @@ object Block {
     require(hgQ.numDims == hgS.numDims && hgQ.levels == hgS.levels && hgQ.extent == hgS.extent,
       s"HG_Q (|P|=${hgQ.numDims}, m=${hgQ.levels}, extent ${hgQ.extent}) and " +
         s"HG_SV (|P|=${hgS.numDims}, m=${hgS.levels}, extent ${hgS.extent}) must have the same shape")
-    val res = new BlockResult(hgS, new CellPairs, new CellPairs)
     val np = hgS.numDims
+    val nf = hgS.numFilters
+    require(queryMapped.forall(_.length >= np + nf),
+      s"query vectors must be mapped on all ${np + nf} pivots of HG_SV")
+    val numQ = queryMapped.length
+    val mp = new CellPairs(numQ)
+    val cp = new CellPairs(numQ)
+    val res = new BlockResult(hgS, mp, cp)
     val w = hgS.width
     val cells = hgS.cells
     val n = cells.length / np
     val lo = new Array[Int](np)
     val hi = new Array[Int](np)
+    val boxLo = hgS.boxLo
+    val boxHi = hgS.boxHi
+    val codeLo = new Array[Int](nf)
+    val codeHi = new Array[Int](nf)
 
     def emit(q: Int, qm: Array[Double], r: Int): Unit =
-      if (GridGeometry.vectorCellMatched(cells, r * np, w, qm, tau)) res.matchingPairs.add(q, r)
-      else res.candidatePairs.add(q, r)
+      if (GridGeometry.vectorCellMatched(cells, r * np, np, w, qm, tau)) mp.add(q, r)
+      else cp.add(q, r)
+
+    // whether leaf r's box meets q's code range on every filter pivot
+    def inBoxes(r: Int): Boolean = {
+      val off = r * nf
+      var j = 0
+      while (j < nf && boxLo(off + j) <= codeHi(j) && codeLo(j) <= boxHi(off + j)) j += 1
+      j == nf
+    }
 
     // the first leaf at or after `from` whose first two coordinates are at
     // least (x0, x1) (whose first is at least x0 if |P| = 1)
@@ -112,26 +141,34 @@ object Block {
       val own = hgS.find(leaf.key.toArray, 0)
       leaf.payloads.foreach { q =>
         val qm = queryMapped(q)
-        if (own >= 0) {
-          if (quickBrowsing) res.candidatePairs.add(q, own)
-          else if (!GridGeometry.vectorCellFiltered(cells, own * np, w, qm, tau)) emit(q, qm, own)
-        }
-        if (GridGeometry.lemma3Range(qm, tau, w, hgS.side, lo, hi)) {
-          val a1 = if (np > 1) lo(1) else 0
-          val b1 = if (np > 1) hi(1) else 0
-          var r = seek(0, lo(0), a1)
-          while (r < n && cells(r * np) <= hi(0)) {
-            val c0 = cells(r * np)
-            if (np > 1 && cells(r * np + 1) < a1) r = seek(r + 1, c0, a1)
-            else if (np > 1 && cells(r * np + 1) > b1) r = seek(r + 1, c0 + 1, a1)
-            else {
-              var i = 2
-              while (i < np && lo(i) <= cells(r * np + i) && cells(r * np + i) <= hi(i)) i += 1
-              if (i >= np && r != own) emit(q, qm, r)
-              r += 1
+        mp.runStart(q) = mp.size; cp.runStart(q) = cp.size
+        if (GridGeometry.lemma3Range(qm, np, nf, tau, hgS.filterWidth, HierarchicalGrid.FilterSide, codeLo, codeHi)) {
+          if (own >= 0 && inBoxes(own)) {
+            if (quickBrowsing) cp.add(q, own)
+            else if (!GridGeometry.vectorCellFiltered(cells, own * np, np, w, qm, tau)) emit(q, qm, own)
+          }
+          if (GridGeometry.lemma3Range(qm, 0, np, tau, w, hgS.side, lo, hi)) {
+            val a1 = if (np > 1) lo(1) else 0
+            val b1 = if (np > 1) hi(1) else 0
+            var r = seek(0, lo(0), a1)
+            while (r < n && cells(r * np) <= hi(0)) {
+              val c0 = cells(r * np)
+              if (np > 1 && cells(r * np + 1) < a1) r = seek(r + 1, c0, a1)
+              else {
+                // the leaves from r with first coordinate c0 and second in range
+                val end = if (np > 1) seek(r, c0, b1 + 1) else seek(r, c0 + 1, 0)
+                while (r < end) {
+                  var i = 2
+                  while (i < np && lo(i) <= cells(r * np + i) && cells(r * np + i) <= hi(i)) i += 1
+                  if (i >= np && r != own && inBoxes(r)) emit(q, qm, r)
+                  r += 1
+                }
+                r = seek(r, c0 + 1, a1)
+              }
             }
           }
         }
+        mp.runEnd(q) = mp.size; cp.runEnd(q) = cp.size
       }
     }
     res

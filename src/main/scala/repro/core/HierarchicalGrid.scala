@@ -15,6 +15,13 @@ import scala.collection.immutable.ArraySeq
   * `HG_Q` is filled by [[insert]] with query vector ids as payloads;
   * `HG_SV` wraps an index's sorted `cellCoords` and takes no inserts.
   *
+  * `HG_SV` also keeps a box per leaf on each of its `numFilters` filter
+  * pivots, the index's pivots beyond the grid's `numDims`: the least and
+  * greatest [[HierarchicalGrid.filterCode]] of its vectors' distances to
+  * that pivot, `boxLo(c·numFilters + j)` and `boxHi(c·numFilters + j)` for
+  * leaf c and filter pivot j. Lemma 1 on those pivots drops a leaf whose
+  * box misses the query's code range, without adding grid dimensions.
+  *
   * `extent` defaults to slightly above the max distance between unit
   * vectors (2.0) so floating-point noise never pushes a mapped coordinate
   * outside the grid.
@@ -25,9 +32,12 @@ final class HierarchicalGrid private[core] (
     val extent: Double,
     /** the leaves of an index (not copied, see [[HierarchicalGrid.cellsProblem]]), or null */
     fixedCells: Array[Int],
+    val numFilters: Int,
+    private[core] val boxLo: Array[Char],
+    private[core] val boxHi: Array[Char],
 ) {
   def this(numDims: Int, levels: Int, extent: Double = HierarchicalGrid.DefaultExtent) =
-    this(numDims, levels, extent, null)
+    this(numDims, levels, extent, null, 0, Array.emptyCharArray, Array.emptyCharArray)
 
   require(numDims >= 1 && levels >= 1 && levels <= HierarchicalGrid.MaxLevels && extent > 0,
     s"bad grid shape: dims=$numDims levels=$levels extent=$extent (levels must be 1..${HierarchicalGrid.MaxLevels})")
@@ -37,6 +47,8 @@ final class HierarchicalGrid private[core] (
   /** Leaf cells per dimension, and their edge length. */
   val side: Int = 1 << levels
   val width: Double = widthAt(levels)
+  /** Width of a filter pivot's code. */
+  val filterWidth: Double = extent / HierarchicalGrid.FilterSide
 
   // Inserted leaf coordinates (row-major) and payloads. As of the last
   // `seal`, leaf c holds the payloads `members(start(c) until start(c + 1))`,
@@ -139,6 +151,33 @@ object HierarchicalGrid {
 
   /** Slightly above the unit-vector max distance 2.0 — see class doc. */
   val DefaultExtent: Double = 2.0 + 1e-6
+
+  /** Codes per filter pivot: a code fits a `Char`. */
+  val FilterSide: Int = 1 << 16
+
+  /** The code of a distance `d` in `[0, extent]` on a filter pivot with
+    * codes of width `w = extent / FilterSide`: the greatest c with
+    * `c·w <= d`, so that `c·w <= d <= (c+1)·w` holds as computed doubles,
+    * the bounds Lemma 3 tests a box with. `d / w` is only a first guess:
+    * `c·w` rounds.
+    */
+  private[core] def filterCode(d: Double, w: Double): Int = {
+    var c = math.min(FilterSide - 1, math.max(0, (d / w).toInt))
+    while (c > 0 && c * w > d) c -= 1
+    while (c < FilterSide - 1 && (c + 1) * w <= d) c += 1
+    c
+  }
+
+  /** Why `lo`/`hi` are not filter boxes: a box whose least code is above
+    * its greatest.
+    */
+  private[core] def boxesProblem(lo: Array[Char], hi: Array[Char], numDims: Int, numFilters: Int): Option[String] = {
+    var i = 0
+    while (i < lo.length && lo(i) <= hi(i)) i += 1
+    if (i == lo.length) None
+    else Some(s"leaf cell ${i / numFilters} has box [${lo(i).toInt}, ${hi(i).toInt}] on pivot " +
+      s"${numDims + i % numFilters}, least code above greatest")
+  }
 
   /** Why `cells` are not the leaves of a grid: a coordinate outside
     * `[0, 2^levels)`, or rows not strictly increasing.

@@ -14,30 +14,35 @@ import java.util.zip.CRC32C
   * {{{
   *   0  int    magic "PXSO"         28  int    segments
   *   4  int    version              32  int    postings
-  *   8  int    dim                  36  int    0 (padding)
-  *  12  int    |P| (pivots)         40  double extent
+  *   8  int    dim                  36  int    |P_v| (all pivots)
+  *  12  int    |P| (grid pivots)    40  double extent
   *  16  int    m (levels)           48  long   buildNanos
   *  20  int    columns
   *  24  int    leaf cells
   * }}}
   *
   * then the body, the index's flat arrays as raw primitives: pivots
-  * (`|P|·dim` doubles, row-major), `colIds`, `cellCoords`, `cellSeg`,
-  * `segCol`, `segStart` (ints), 0 or 4 bytes of padding to an 8-byte
-  * boundary, `mapped` and `vectors` (doubles). Last comes the CRC32C of
-  * everything before it, header included.
+  * (`|P_v|·dim` doubles, row-major, the grid's first), `colIds`,
+  * `cellCoords`, `cellSeg`, `segCol`, `segStart` (ints), the leaves'
+  * filter boxes `boxLo` and `boxHi` (`cells·(|P_v| − |P|)` 16-bit codes
+  * each), 0 or 4 bytes of padding to an 8-byte boundary, `mapped` and
+  * `vectors` (doubles). Last comes the CRC32C of everything before it,
+  * header included.
   *
-  * Since version 2 the leaf cells in `cellCoords` are sorted. A read checks, in order, the magic, the version, that the header counts
-  * are valid (m at most [[HierarchicalGrid.MaxLevels]]), that the file size
-  * is the one the header implies, the checksum, and that the leaf
-  * coordinates are strictly increasing and each in `[0, 2^m)`; a failure
-  * is an `IOException` naming the file and the check.
+  * Since version 2 the leaf cells in `cellCoords` are sorted; version 3
+  * adds the filter pivots and boxes. A read checks, in order, the magic,
+  * the version, that the header counts are valid (m at most
+  * [[HierarchicalGrid.MaxLevels]], |P_v| at least |P|), that the file size
+  * is the one the header implies, the checksum, that the leaf coordinates
+  * are strictly increasing and each in `[0, 2^m)`, and that no box's least
+  * code is above its greatest; a failure is an `IOException` naming the
+  * file and the check.
   */
 object IndexFormat {
 
   /** "PXSO" in file byte order. */
   val Magic: Int = 0x4f535850
-  val Version: Int = 2
+  val Version: Int = 3
   val HeaderBytes: Int = 56
 
   /** Arrays are copied and checksummed in slices of this many bytes, small
@@ -46,19 +51,23 @@ object IndexFormat {
   private val SliceBytes = 1 << 18
 
   /** Bytes of an index with these header fields, or -1 if they are invalid. */
-  private def sizeOf(dim: Int, np: Int, levels: Int, cols: Int, cells: Int, segs: Int, posts: Int): Long =
-    if (dim < 1 || np < 1 || levels < 1 || levels > HierarchicalGrid.MaxLevels ||
+  private def sizeOf(dim: Int, np: Int, npv: Int, levels: Int, cols: Int, cells: Int, segs: Int, posts: Int): Long =
+    if (dim < 1 || np < 1 || npv < np || levels < 1 || levels > HierarchicalGrid.MaxLevels ||
         cols < 0 || cells < 0 || segs < 0 || posts < 0 ||
-        Seq(np.toLong * dim, cells.toLong * np, posts.toLong * np, posts.toLong * dim).exists(_ > Int.MaxValue)) -1L
+        Seq(npv.toLong * dim, cells.toLong * np, cells.toLong * (npv - np), posts.toLong * np, posts.toLong * dim)
+          .exists(_ > Int.MaxValue)) -1L
     else {
-      val ints = intCount(np, cols, cells, segs)
-      HeaderBytes + 8L * np * dim + 4L * ints + padAfter(ints) + 8L * posts * (np + dim) + 4L
+      val words = wordCount(np, npv, cols, cells, segs)
+      HeaderBytes + 8L * npv * dim + 4L * words + padAfter(words) + 8L * posts * (np + dim) + 4L
     }
 
-  private def intCount(np: Int, cols: Int, cells: Int, segs: Int): Long =
-    cols.toLong + cells.toLong * np + (cells + 1L) + segs + (segs + 1L)
+  /** 4-byte words between the pivots and the padding: the int arrays and
+    * the two box arrays of 2-byte codes.
+    */
+  private def wordCount(np: Int, npv: Int, cols: Int, cells: Int, segs: Int): Long =
+    cols.toLong + cells.toLong * np + (cells + 1L) + segs + (segs + 1L) + cells.toLong * (npv - np)
 
-  private def padAfter(ints: Long): Int = if (ints % 2 == 0) 0 else 4
+  private def padAfter(words: Long): Int = if (words % 2 == 0) 0 else 4
 
   // ---- write ----
 
@@ -74,11 +83,13 @@ object IndexFormat {
       val h = out.buf
       h.putInt(Magic).putInt(Version).putInt(inv.dim).putInt(inv.numPivots).putInt(inv.levels)
         .putInt(inv.numColumns).putInt(inv.numCells).putInt(inv.segCol.length).putInt(inv.segStart.last)
-        .putInt(0).putDouble(inv.extent).putLong(index.buildNanos)
+        .putInt(index.pivots.numPivots).putDouble(inv.extent).putLong(index.buildNanos)
       index.pivots.pivots.foreach(out.doubles)
-      val ints = Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart)
-      ints.foreach(out.ints)
-      if (padAfter(ints.map(_.length.toLong).sum) != 0) out.ints(new Array[Int](1))
+      Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart).foreach(out.ints)
+      out.chars(inv.grid.boxLo)
+      out.chars(inv.grid.boxHi)
+      if (padAfter(wordCount(inv.numPivots, index.pivots.numPivots, inv.numColumns, inv.numCells,
+          inv.segCol.length)) != 0) out.ints(new Array[Int](1))
       out.doubles(inv.mapped)
       out.doubles(inv.vectors)
       out.finish()
@@ -121,6 +132,17 @@ object IndexFormat {
       }
     }
 
+    def chars(a: Array[Char]): Unit = {
+      var i = 0
+      while (i < a.length) {
+        if (buf.remaining < 2) flush()
+        val k = math.min(a.length - i, buf.remaining / 2)
+        buf.asCharBuffer().put(a, i, k)
+        buf.position(buf.position() + 2 * k)
+        i += k
+      }
+    }
+
     def finish(): Unit = {
       flush()
       buf.putInt(crc.getValue.toInt)
@@ -148,28 +170,33 @@ object IndexFormat {
       if (h.remaining < HeaderBytes) fail(s"size $size bytes is shorter than the $HeaderBytes-byte header")
       val dim = h.getInt(8); val np = h.getInt(12); val levels = h.getInt(16)
       val cols = h.getInt(20); val cells = h.getInt(24); val segs = h.getInt(28); val posts = h.getInt(32)
-      val implied = sizeOf(dim, np, levels, cols, cells, segs, posts)
-      if (implied < 0) fail(s"invalid header counts: dim=$dim |P|=$np m=$levels columns=$cols cells=$cells segments=$segs postings=$posts")
+      val npv = h.getInt(36)
+      val implied = sizeOf(dim, np, npv, levels, cols, cells, segs, posts)
+      if (implied < 0) fail(s"invalid header counts: dim=$dim |P|=$np |P_v|=$npv m=$levels columns=$cols " +
+        s"cells=$cells segments=$segs postings=$posts")
       if (size != implied) fail(s"size $size bytes, the header implies $implied")
 
       val src = new Mapped(ch, size)
       val in = new Reader(src, h)
-      val pivots = Array.fill(np)(in.doubles(dim))
+      val pivots = Array.fill(npv)(in.doubles(dim))
       val colIds = in.ints(cols)
       val cellCoords = in.ints(cells * np)
       val cellSeg = in.ints(cells + 1)
       val segCol = in.ints(segs)
       val segStart = in.ints(segs + 1)
-      in.skip(padAfter(intCount(np, cols, cells, segs)))
+      val boxLo = in.chars(cells * (npv - np))
+      val boxHi = in.chars(cells * (npv - np))
+      in.skip(padAfter(wordCount(np, npv, cols, cells, segs)))
       val mapped = in.doubles(posts * np)
       val vectors = in.doubles(posts * dim)
       val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
       val computed = in.checksum
       if (stored != computed) fail(s"checksum mismatch: stored ${hex(stored)}, computed ${hex(computed)}")
       HierarchicalGrid.cellsProblem(cellCoords, np, levels).foreach(p => fail(s"bad leaf cells: $p"))
+      HierarchicalGrid.boxesProblem(boxLo, boxHi, np, npv - np).foreach(p => fail(s"bad filter boxes: $p"))
 
       val inverted = InvertedIndex.fromArrays(np, dim, levels, h.getDouble(40), colIds, cellCoords,
-        cellSeg, segCol, segStart, mapped, vectors)
+        cellSeg, segCol, segStart, npv - np, boxLo, boxHi, mapped, vectors)
       new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
     } finally ch.close()
   }
@@ -226,6 +253,17 @@ object IndexFormat {
       while (i < n) {
         val k = math.min(n - i, SliceBytes / 4)
         next(4 * k).asIntBuffer().get(out, i, k)
+        i += k
+      }
+      out
+    }
+
+    def chars(n: Int): Array[Char] = {
+      val out = new Array[Char](n)
+      var i = 0
+      while (i < n) {
+        val k = math.min(n - i, SliceBytes / 2)
+        next(2 * k).asCharBuffer().get(out, i, k)
         i += k
       }
       out

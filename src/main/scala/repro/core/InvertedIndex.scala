@@ -18,8 +18,9 @@ import repro.core.HierarchicalGrid.CellKey
   * `mapped(p·numPivots until (p+1)·numPivots)` and its vector
   * `vectors(p·dim until (p+1)·dim)`.
   *
-  * Cell c is leaf c of `HG_SV`, which wraps `cellCoords`. [[IndexFormat]]
-  * stores these arrays; reading them back rebuilds nothing.
+  * Cell c is leaf c of `HG_SV`, which wraps `cellCoords` and the leaves'
+  * filter-pivot boxes. [[IndexFormat]] stores these arrays; reading them
+  * back rebuilds nothing.
   */
 final class InvertedIndex private (
     val dim: Int,
@@ -55,7 +56,8 @@ final class InvertedIndex private (
 object InvertedIndex {
 
   /** An index over its arrays; `cellCoords` must be strictly increasing
-    * rows of coordinates in `[0, 2^levels)`.
+    * rows of coordinates in `[0, 2^levels)`, and each filter box's least
+    * code at most its greatest.
     */
   private[core] def fromArrays(
       numPivots: Int,
@@ -67,18 +69,22 @@ object InvertedIndex {
       cellSeg: Array[Int],
       segCol: Array[Int],
       segStart: Array[Int],
+      numFilters: Int,
+      boxLo: Array[Char],
+      boxHi: Array[Char],
       mapped: Array[Double],
       vectors: Array[Double],
   ): InvertedIndex =
     new InvertedIndex(dim, colIds, cellCoords, cellSeg, segCol, segStart, mapped, vectors,
-      new HierarchicalGrid(numPivots, levels, extent, cellCoords))
+      new HierarchicalGrid(numPivots, levels, extent, cellCoords, numFilters, boxLo, boxHi))
 
   /** Build from the repository vectors in input order.
     *
     * @param grid    an empty grid of the index's shape (|P|, m, extent)
     * @param colIds  column ids, ascending and distinct
     * @param col     dense column of vector p
-    * @param mapped  pivot image of vector p
+    * @param mapped  pivot image of vector p: the grid's |P| pivots first,
+    *                then the filter pivots, the same number for every p
     * @param vecs    vector p
     */
   def build(
@@ -90,6 +96,7 @@ object InvertedIndex {
   ): InvertedIndex = {
     val n = col.length
     val np = grid.numDims
+    val nf = if (n == 0) 0 else mapped(0).length - np
     val dim = if (n == 0) 0 else vecs(0).length
     val leaf = new Array[Int](n * np)
     for (p <- 0 until n) System.arraycopy(grid.coordsAt(mapped(p), grid.levels), 0, leaf, p * np, np)
@@ -103,13 +110,25 @@ object InvertedIndex {
     val cellSeg = new mutable.ArrayBuilder.ofInt
     val segCol = new mutable.ArrayBuilder.ofInt
     val segStart = new mutable.ArrayBuilder.ofInt
+    // the filter box of leaf c: the least and greatest code of its vectors
+    val boxLo = new Array[Char](n * nf)
+    val boxHi = new Array[Char](n * nf)
     var numSegs = 0
+    var c = -1
     var p = 0
     while (p < n) {
       val e = order(p)
       val newCell = p == 0 || HierarchicalGrid.compareRows(leaf, order(p - 1), leaf, e * np, np) != 0
-      if (newCell) { cellCoords.addAll(leaf, e * np, np); cellSeg += numSegs }
+      if (newCell) { cellCoords.addAll(leaf, e * np, np); cellSeg += numSegs; c += 1 }
       if (newCell || col(e) != col(order(p - 1))) { segCol += col(e); segStart += p; numSegs += 1 }
+      var j = 0
+      while (j < nf) {
+        val k = HierarchicalGrid.filterCode(mapped(e)(np + j), grid.filterWidth).toChar
+        val b = c * nf + j
+        if (newCell || k < boxLo(b)) boxLo(b) = k
+        if (newCell || k > boxHi(b)) boxHi(b) = k
+        j += 1
+      }
       p += 1
     }
     cellSeg += numSegs
@@ -128,7 +147,9 @@ object InvertedIndex {
       src += 1
     }
 
+    val boxes = (c + 1) * nf
     fromArrays(np, dim, grid.levels, grid.extent, colIds, cellCoords.result(), cellSeg.result(), segCol.result(),
-      segStart.result(), flatMapped, flatVecs)
+      segStart.result(), nf, java.util.Arrays.copyOf(boxLo, boxes), java.util.Arrays.copyOf(boxHi, boxes),
+      flatMapped, flatVecs)
   }
 }

@@ -13,6 +13,8 @@ object VerifyMode {
 /** A built PEXESO index over one repository (or one partition of it):
   * selected pivots, the grid leaves `HG_SV` over mapped repository
   * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
+  * Pivots beyond the grid's |P| are filter pivots: `HG_SV` keeps a box of
+  * each leaf on them, and Block drops the leaves whose box rules out q.
   *
   * The out-of-core path (Section IV) spills one index per partition to
   * disk in [[IndexFormat]] and loads them back one at a time.
@@ -30,7 +32,10 @@ final class PexesoIndex(
     val buildNanos: Long,
 ) {
 
-  def numPivots: Int = pivots.numPivots
+  /** |P|, the grid's pivots: the first of `pivots`, which also holds the
+    * filter pivots.
+    */
+  def numPivots: Int = inverted.numPivots
   def levels: Int = inverted.levels
   def numColumns: Int = inverted.numColumns
   def grid: HierarchicalGrid = inverted.grid
@@ -86,6 +91,11 @@ object PexesoIndex {
   /** Most vectors sampled for pivot selection. */
   private val PivotSample = 2000
 
+  /** Pivots taken in all, |P_v|, when |P| is below it: those beyond the
+    * grid's |P| are filter pivots, which prune leaves by their boxes.
+    */
+  private val AllPivots = 16
+
   // Plain `if`s rather than `require`, whose by-name message would be a
   // closure allocated per coordinate.
   private def checkVector(v: Array[Double], dim: Int, what: String): Unit = {
@@ -130,10 +140,12 @@ object PexesoIndex {
 
   /** Build a PEXESO index for a repository of columns.
     *
-    * Pipeline (paper Section III-E): PCA-based pivot selection on a sample
-    * (O(|S_V|)), pivot mapping of every vector (O(|P|·|S_V|)), and the
-    * inverted index over the sorted leaf cells, one radix pass per byte of
-    * a leaf coordinate (O(|P|·⌈m/8⌉·|S_V| + D)).
+    * Pipeline (paper Section III-E): PCA-based pivot selection of
+    * |P_v| = max(|P|, 16) pivots on a sample (O(|S_V|)), pivot mapping of
+    * every vector (O(|P_v|·|S_V|)), and the inverted index over the sorted
+    * leaf cells, one radix pass per byte of a leaf coordinate
+    * (O(|P|·⌈m/8⌉·|S_V| + D)), with each leaf's box on the |P_v| − |P|
+    * filter pivots.
     *
     * @param columns   the repository, with unique column ids
     * @param numPivots |P|
@@ -151,14 +163,16 @@ object PexesoIndex {
     val all: Array[Array[Double]] = columns.iterator.flatMap(_.vectors).toArray
     val dim = all(0).length
     all.foreach(checkVector(_, dim, "repository vector"))
-    require(all.length.toLong * math.max(dim, numPivots) <= Int.MaxValue,
+    require(all.length.toLong * math.max(dim, math.max(numPivots, AllPivots)) <= Int.MaxValue,
       s"${all.length} vectors of dimension $dim do not fit one flat index")
+    // the grid's pivots come first: pcaPivots(s, k) starts with pcaPivots(s, numPivots)
     val pivots = PivotSelection.pcaPivots(
-      PivotSelection.sample(scala.collection.immutable.ArraySeq.unsafeWrapArray(all), PivotSample), numPivots)
+      PivotSelection.sample(scala.collection.immutable.ArraySeq.unsafeWrapArray(all), PivotSample),
+      math.max(numPivots, AllPivots))
 
     val colIds = sortedColumnIds(columns)
-    // a lake of fewer than numPivots distinct vectors yields fewer pivots
-    val grid = new HierarchicalGrid(pivots.numPivots, levels, extent)
+    // a lake of fewer than numPivots vectors yields fewer pivots
+    val grid = new HierarchicalGrid(math.min(numPivots, pivots.numPivots), levels, extent)
     val col = new Array[Int](all.length)
     val mapped = new Array[Array[Double]](all.length)
     var p = 0

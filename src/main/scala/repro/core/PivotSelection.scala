@@ -10,15 +10,23 @@ import repro.embed.VectorOps
   * each component, the vector with the extreme projection along it —
   * those are outliers in the directions of maximum variance.
   *
-  * No external linear-algebra dependency: the covariance–vector product is
-  * computed implicitly as X^T (X v) over the centered sample.
+  * No external linear-algebra dependency: the sample is centred and its
+  * (unscaled) dim×dim covariance `Σ (x-μ)(x-μ)ᵀ` formed once, in
+  * O(|S_V|·dim²); power iteration then costs O(dim²) per step, however
+  * many components are wanted.
+  *
+  * The selection is a prefix family: the first k pivots of
+  * `pcaPivots(s, k')` for `k' > k` are `pcaPivots(s, k)`, since components
+  * and picks are made in order and none depends on k.
   */
 object PivotSelection {
 
-  /** Select `k` distinct pivots from `vectors` (or a sample thereof).
+  /** Select `k` pivots from `vectors` (or a sample thereof), each a
+    * different member of the pool; fewer only if the pool is smaller.
     *
     * @param vectors    candidate pool (pass a uniform sample for big lakes)
-    * @param k          number of pivots (should stay below the original dim)
+    * @param k          number of pivots; beyond the original dim the picks
+    *                   go on farthest-first
     * @param iterations power-iteration steps per principal component
     * @param seed       deterministic start vectors
     */
@@ -31,21 +39,44 @@ object PivotSelection {
     require(vectors.nonEmpty, "empty vector pool")
     require(k >= 1, "need k >= 1")
     val dim = vectors.head.length
-    val mu  = VectorOps.mean(vectors)
+    val n = vectors.length
+    val mu = VectorOps.mean(vectors)
 
-    // Centered-projection helper: (x - mu) · v
-    def proj(x: Array[Double], v: Array[Double]): Double = {
+    // centred sample, row-major: row r is x_r - mu
+    val x = new Array[Double](n * dim)
+    var r = 0
+    while (r < n) {
+      val v = vectors(r)
+      var i = 0
+      while (i < dim) { x(r * dim + i) = v(i) - mu(i); i += 1 }
+      r += 1
+    }
+    // (x_r - mu) · v
+    def proj(r: Int, v: Array[Double]): Double = {
       var s = 0.0; var i = 0
-      while (i < dim) { s += (x(i) - mu(i)) * v(i); i += 1 }
+      while (i < dim) { s += x(r * dim + i) * v(i); i += 1 }
       s
     }
 
-    val components = Array.newBuilder[Array[Double]]
-    val comps = new scala.collection.mutable.ArrayBuffer[Array[Double]]
+    // cov = Σ_r (x_r - mu)(x_r - mu)ᵀ, upper triangle summed, then mirrored
+    val cov = new Array[Double](dim * dim)
+    r = 0
+    while (r < n) {
+      val off = r * dim
+      var i = 0
+      while (i < dim) {
+        val xi = x(off + i)
+        var j = i
+        while (j < dim) { cov(i * dim + j) += xi * x(off + j); j += 1 }
+        i += 1
+      }
+      r += 1
+    }
+    for (i <- 0 until dim; j <- 0 until i) cov(i * dim + j) = cov(j * dim + i)
 
-    var c = 0
+    val comps = new scala.collection.mutable.ArrayBuffer[Array[Double]]
     var rngState = seed
-    while (c < math.min(k, dim)) {
+    while (comps.length < math.min(k, dim)) {
       // deterministic pseudo-random start vector
       var v = Array.fill(dim) {
         rngState = repro.embed.HashingEmbedder.splitmix64(rngState)
@@ -54,12 +85,14 @@ object PivotSelection {
       v = VectorOps.normalize(v)
       var it = 0
       while (it < iterations) {
-        // w = Cov * v  (implicitly, up to 1/n scale):  sum_x ((x-mu)·v)(x-mu)
+        // w = cov · v
         val w = new Array[Double](dim)
-        vectors.foreach { x =>
-          val p = proj(x, v)
-          var i = 0
-          while (i < dim) { w(i) += p * (x(i) - mu(i)); i += 1 }
+        var i = 0
+        while (i < dim) {
+          var s = 0.0; var j = 0
+          while (j < dim) { s += cov(i * dim + j) * v(j); j += 1 }
+          w(i) = s
+          i += 1
         }
         // deflate against previously found components
         comps.foreach { u =>
@@ -67,47 +100,55 @@ object PivotSelection {
           var i = 0
           while (i < dim) { w(i) -= d * u(i); i += 1 }
         }
-        val n = VectorOps.norm(w)
-        if (n > 1e-12) v = w.map(_ / n)
+        val norm = VectorOps.norm(w)
+        if (norm > 1e-12) v = w.map(_ / norm)
         it += 1
       }
       comps += v
-      c += 1
     }
-    components ++= comps
 
     // One pivot per component: the vector with the maximum |projection|
-    // (an outlier along that direction). De-duplicate; top up with the
-    // farthest-from-chosen vectors if duplicates collapse the set.
-    val chosen = scala.collection.mutable.LinkedHashSet.empty[Int]
+    // (an outlier along that direction), not taken before.
+    val taken = new Array[Boolean](n)
+    val chosen = new Array[Int](math.min(k, n))
+    var numChosen = 0
+    def take(i: Int): Unit = { taken(i) = true; chosen(numChosen) = i; numChosen += 1 }
     comps.foreach { u =>
       var best = -1; var bestAbs = -1.0
       var i = 0
-      while (i < vectors.length) {
-        if (!chosen.contains(i)) {
-          val p = math.abs(proj(vectors(i), u))
+      while (i < n) {
+        if (!taken(i)) {
+          val p = math.abs(proj(i, u))
           if (p > bestAbs) { bestAbs = p; best = i }
         }
         i += 1
       }
-      if (best >= 0) chosen += best
+      if (best >= 0) take(best)
     }
-    while (chosen.size < k && chosen.size < vectors.length) {
-      // farthest-first top-up for k > dim or degenerate data
-      var best = -1; var bestD = -1.0
-      var i = 0
-      while (i < vectors.length) {
-        if (!chosen.contains(i)) {
-          var minD = Double.MaxValue
-          chosen.foreach(j => minD = math.min(minD, VectorOps.euclidean(vectors(i), vectors(j))))
-          if (minD > bestD) { bestD = minD; best = i }
+    // Top up farthest-first (k > dim): the vector farthest from every
+    // pivot so far; minD(i) is vector i's distance to the nearest one.
+    if (numChosen < k && numChosen < n) {
+      val minD = Array.fill(n)(Double.MaxValue)
+      def near(j: Int): Unit = {
+        var i = 0
+        while (i < n) {
+          if (!taken(i)) minD(i) = math.min(minD(i), VectorOps.euclidean(vectors(i), vectors(j)))
+          i += 1
         }
-        i += 1
       }
-      if (best < 0) return PivotSet(chosen.toArray.map(vectors(_).clone()))
-      chosen += best
+      (0 until numChosen).foreach(c => near(chosen(c)))
+      while (numChosen < k && numChosen < n) {
+        var best = -1; var bestD = -1.0
+        var i = 0
+        while (i < n) {
+          if (!taken(i) && minD(i) > bestD) { bestD = minD(i); best = i }
+          i += 1
+        }
+        take(best)
+        near(best)
+      }
     }
-    PivotSet(chosen.toArray.map(vectors(_).clone()))
+    PivotSet(chosen.take(numChosen).map(vectors(_).clone()))
   }
 
   /** Uniform deterministic sample of up to `maxSample` vectors. */

@@ -13,10 +13,10 @@ package repro.core
   *   - Lemma 7: a column that can no longer reach `T` even if all its
   *     remaining candidate query vectors matched is abandoned.
   *
-  * The candidate pairs are re-grouped by query vector and walked over the
-  * cells' column segments (DaaT: each column is a "document") so both
-  * terminations apply as early as possible. All per-search state lives in
-  * primitive arrays indexed by dense column.
+  * The candidate pairs are walked per query vector over the cells' column
+  * segments (DaaT: each column is a "document") so both terminations apply
+  * as early as possible. All per-search state lives in primitive arrays
+  * indexed by dense column.
   */
 object Verify {
 
@@ -119,24 +119,12 @@ object Verify {
     val m = new Matches(numCols, numQ, tAbs)
     addMatching(block, index, m)
 
-    // Candidate pairs grouped by q with a stable counting sort: each q's
-    // cells stay in blocking order.
-    val pairs = block.candidatePairs
-    val qStart = new Array[Int](numQ + 1)
-    var i = 0
-    while (i < pairs.size) { qStart(pairs.q(i) + 1) += 1; i += 1 }
-    var q = 0
-    while (q < numQ) { qStart(q + 1) += qStart(q); q += 1 }
-    val fill = qStart.clone()
-    val cells = new Array[Int](pairs.size)
-    i = 0
-    while (i < pairs.size) { val pq = pairs.q(i); cells(fill(pq)) = pairs.cell(i); fill(pq) += 1; i += 1 }
-
     // DaaT verification as in the paper (Fig. 4): candidate pairs are
-    // walked per query vector; each cell's postings are sorted by column,
-    // so one pass over a cell processes its columns ("documents")
-    // consecutively. Mismatch counts feed Lemma 7: once |Q| − mismatches
-    // cannot reach T, the column's remaining postings are skipped.
+    // walked per query vector, in q order over the run Block emitted for
+    // each; each cell's postings are sorted by column, so one pass over a
+    // cell processes its columns ("documents") consecutively. Mismatch
+    // counts feed Lemma 7: once |Q| − mismatches cannot reach T, the
+    // column's remaining postings are skipped.
     // `seenAt` / `hitAt` hold q + 1 for the columns q touched / matched.
     val mismatch = new Array[Int](numCols)
     val seenAt = new Array[Int](numCols)
@@ -146,15 +134,16 @@ object Verify {
     val mapped = index.mapped
     val vectors = index.vectors
     val t = sqThreshold(tau)
-    q = 0
+    val pairs = block.candidatePairs
+    var q = 0
     while (q < numQ) {
       val stamp = q + 1
       val qm = queryMapped(q)
       val qo = queryOriginal(q)
       var numSeen = 0
-      var ci = qStart(q)
-      while (ci < qStart(q + 1)) {
-        val cell = cells(ci)
+      var ci = pairs.runStart(q)
+      while (ci < pairs.runEnd(q)) {
+        val cell = pairs.cell(ci)
         var s = index.cellSeg(cell)
         while (s < index.cellSeg(cell + 1)) {
           val col = index.segCol(s)

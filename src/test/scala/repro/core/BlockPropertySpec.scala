@@ -6,17 +6,21 @@ import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Property: `Block.run` emits exactly the pairs that Lemmas 3 and 5,
-  * tested on every (query vector, leaf) pair one by one, give, and each
-  * query vector's own leaf first.
+/** Property: `Block.run` emits exactly the pairs that Lemmas 3 and 5 and
+  * the filter-pivot boxes, tested on every (query vector, leaf) pair one by
+  * one, give, and each query vector's own leaf first, in one run per
+  * query vector.
   *
-  * The oracle: with quick browsing, q's own leaf (the leaf of `HG_SV` with
-  * q's leaf key) is a candidate; every other leaf is dropped if Lemma 3
-  * filters it, else matching if Lemma 5 matches it, else a candidate.
-  * Mapped values are drawn in pivot space directly, over |P| 1..6 and m
-  * 1..8 and 30, with values on grid lines, clustered lakes, one-leaf lakes,
-  * and τ of 0, a multiple of the cell width, at least the extent, and
-  * large enough that Lemma 5 fires.
+  * The oracle: a leaf is dropped if, on some filter pivot, the box of its
+  * vectors' codes lies wholly above `q' + τ` or below `q' − τ`; otherwise,
+  * with quick browsing, q's own leaf (the leaf of `HG_SV` with q's leaf
+  * key) is a candidate; every other leaf is dropped if Lemma 3 filters it,
+  * else matching if Lemma 5 matches it, else a candidate. Mapped values
+  * are drawn in pivot space directly, over |P| 1..6, 0..5 filter pivots
+  * and m 1..8 and 30, with values on grid lines, on code lines and at the
+  * extent (the last code), clustered lakes, one-leaf lakes, and τ of 0, a
+  * multiple of the cell width, at least the extent, and large enough that
+  * Lemma 5 fires.
   */
 class BlockPropertySpec extends AnyFunSuite {
   import BlockPropertySpec._
@@ -24,13 +28,13 @@ class BlockPropertySpec extends AnyFunSuite {
   test("Block emits the pairs of a brute-force Lemma 3/5 oracle, own leaf first") {
     val prop = Prop.forAllNoShrink(genCase) { c =>
       val (lake, query) = c.instance
-      val hgS = new HierarchicalGrid(c.numPivots, c.levels, c.extent)
-      lake.foreach(hgS.insert(_, -1))
+      val hgS = InvertedIndex.build(new HierarchicalGrid(c.numPivots, c.levels, c.extent), Array(0),
+        new Array[Int](lake.length), lake, lake.map(_ => Array(0.0))).grid
       val hgQ = new HierarchicalGrid(c.numPivots, c.levels, c.extent)
       query.indices.foreach(q => hgQ.insert(query(q), q))
       val res = Block.run(hgQ, hgS, query, c.tau, c.quickBrowsing)
 
-      val want = oracle(hgS, query, c.tau, c.quickBrowsing)
+      val want = oracle(hgS, lake, query, c.tau, c.quickBrowsing)
       val gotMatching = pairs(res.matchingPairs)
       val gotCandidates = pairs(res.candidatePairs)
       val ownFirst = query.indices.forall { q =>
@@ -40,11 +44,16 @@ class BlockPropertySpec extends AnyFunSuite {
           !mine.exists(_._2 == own) || mine.head._2 == own
         }
       }
+      val runs = Seq(res.matchingPairs, res.candidatePairs).forall { p =>
+        query.indices.forall(q => (p.runStart(q) until p.runEnd(q)).map(p.q) == pairs(p).filter(_._1 == q).map(_._1))
+      }
+      Prop(hgS.numFilters == c.numFilters) :| s"$c: HG_SV has ${hgS.numFilters} filter pivots" &&
       Prop(gotMatching.toSet == want.matching) :| s"$c: matching differs" &&
       Prop(gotCandidates.toSet == want.candidates) :| s"$c: candidates differ" &&
       Prop(gotMatching.distinct.length == gotMatching.length &&
            gotCandidates.distinct.length == gotCandidates.length) :| s"$c: duplicate pairs" &&
-      Prop(ownFirst) :| s"$c: a query vector's own leaf is not its first pair"
+      Prop(ownFirst) :| s"$c: a query vector's own leaf is not its first pair" &&
+      Prop(runs) :| s"$c: a query vector's pairs are not the run recorded for it"
     }
     val params = Test.Parameters.default
       .withMinSuccessfulTests(1000)
@@ -61,21 +70,39 @@ object BlockPropertySpec {
   def pairs(p: CellPairs): IndexedSeq[(Int, Int)] = (0 until p.size).map(i => (p.q(i), p.cell(i)))
 
   /** Every (q, leaf) pair classified on its own, by the lemmas written
-    * out here on the leaf box `[lo, hi]` rather than taken from
-    * [[GridGeometry]].
+    * out here on the leaf box `[lo, hi]` and on the filter boxes of the
+    * leaf's `lake` vectors, rather than taken from [[GridGeometry]].
     */
-  def oracle(hgS: HierarchicalGrid, query: Array[Array[Double]], tau: Double,
+  def oracle(hgS: HierarchicalGrid, lake: Array[Array[Double]], query: Array[Array[Double]], tau: Double,
              quickBrowsing: Boolean): Expected = {
+    val np = hgS.numDims
+    val wf = hgS.extent / 65536
+    // the greatest code c with c·wf <= d
+    def code(d: Double): Int = {
+      var a = 0
+      var b = 65535
+      while (a < b) { val c = (a + b + 1) >>> 1; if (c * wf <= d) a = c else b = c - 1 }
+      a
+    }
     val matching = Set.newBuilder[(Int, Int)]
     val candidates = Set.newBuilder[(Int, Int)]
-    for (q <- query.indices; leaf <- hgS.leafCells) {
-      val qm = query(q)
-      def lo(i: Int) = leaf.key(i) * hgS.width
-      def hi(i: Int) = (leaf.key(i) + 1) * hgS.width
-      val lemma3 = qm.indices.exists(i => lo(i) > qm(i) + tau || hi(i) < qm(i) - tau)
-      val lemma5 = qm.indices.exists(i => tau - qm(i) >= 0 && hi(i) <= tau - qm(i))
-      if (quickBrowsing && leaf.key == hgS.coordsAt(qm, hgS.levels).toSeq) candidates += ((q, leaf.id))
-      else if (!lemma3) (if (lemma5) matching else candidates) += ((q, leaf.id))
+    for (leaf <- hgS.leafCells) {
+      val members = lake.filter(v => hgS.coordsAt(v, hgS.levels).toSeq == leaf.key)
+      val boxes = (np until np + hgS.numFilters).map(j => (members.map(v => code(v(j))).min, members.map(v => code(v(j))).max))
+      for (q <- query.indices) {
+        val qm = query(q)
+        def lo(i: Int) = leaf.key(i) * hgS.width
+        def hi(i: Int) = (leaf.key(i) + 1) * hgS.width
+        val boxed = boxes.indices.exists { j =>
+          val (a, b) = boxes(j)
+          a * wf > qm(np + j) + tau || (b + 1) * wf < qm(np + j) - tau
+        }
+        val lemma3 = (0 until np).exists(i => lo(i) > qm(i) + tau || hi(i) < qm(i) - tau)
+        val lemma5 = (0 until np).exists(i => tau - qm(i) >= 0 && hi(i) <= tau - qm(i))
+        if (boxed) ()
+        else if (quickBrowsing && leaf.key == hgS.coordsAt(qm, hgS.levels).toSeq) candidates += ((q, leaf.id))
+        else if (!lemma3) (if (lemma5) matching else candidates) += ((q, leaf.id))
+      }
     }
     Expected(matching.result(), candidates.result())
   }
@@ -95,6 +122,7 @@ object BlockPropertySpec {
   val genCase: Gen[Case] = for {
     seed <- Gen.choose(0L, Long.MaxValue)
     numPivots <- Gen.choose(1, 6)
+    numFilters <- Gen.frequency(1 -> Gen.const(0), 2 -> Gen.choose(1, 5))
     levels <- Gen.frequency(8 -> Gen.choose(1, 8), 1 -> Gen.const(30))
     extent <- Gen.oneOf(HierarchicalGrid.DefaultExtent, 1.0, 3.7)
     lakeSize <- Gen.choose(1, 80)
@@ -103,11 +131,12 @@ object BlockPropertySpec {
     tau <- Gen.oneOf(Zero, CellMultiple, AtLeastExtent, Small, Matching)
     onLines <- Gen.oneOf(true, false)
     quickBrowsing <- Gen.oneOf(true, false)
-  } yield Case(seed, numPivots, levels, extent, lakeSize, qSize, lake, tau, onLines, quickBrowsing)
+  } yield Case(seed, numPivots, numFilters, levels, extent, lakeSize, qSize, lake, tau, onLines, quickBrowsing)
 
   final case class Case(
       seed: Long,
       numPivots: Int,
+      numFilters: Int,
       levels: Int,
       extent: Double,
       lakeSize: Int,
@@ -132,29 +161,43 @@ object BlockPropertySpec {
       }
     }
 
-    /** Mapped lake and query vectors. Half the query vectors sit near a
-      * lake vector; with `onLines`, half of all values lie on grid lines.
+    /** Mapped lake and query vectors, on the grid's pivots and then the
+      * filter pivots. Half the query vectors sit near a lake vector; with
+      * `onLines`, half of all values lie on grid lines, and on the filter
+      * pivots a sixth lie on code lines and a sixth at the extent.
       */
     def instance: (Array[Array[Double]], Array[Array[Double]]) = {
       val rng = new Random(seed)
-      def value(near: Double, spread: Double): Double = {
-        val v =
-          if (onLines && rng.nextBoolean()) math.round(near / width + rng.nextInt(5) - 2) * width
-          else near + (rng.nextDouble() - 0.5) * spread
-        math.min(extent, math.max(0.0, v))
+      val codeWidth = extent / 65536
+      def clamp(v: Double) = math.min(extent, math.max(0.0, v))
+      def value(near: Double, spread: Double): Double = clamp(
+        if (onLines && rng.nextBoolean()) math.round(near / width + rng.nextInt(5) - 2) * width
+        else near + (rng.nextDouble() - 0.5) * spread)
+      def filterValue(near: Double, spread: Double): Double = rng.nextInt(6) match {
+        case 0 => extent
+        case 1 => clamp(math.round(near / codeWidth + rng.nextInt(5) - 2) * codeWidth)
+        case _ => clamp(near + (rng.nextDouble() - 0.5) * spread)
       }
-      val center = Array.fill(numPivots)(rng.nextDouble() * extent)
+      def point(near: Array[Double], gridSpread: Double, filterSpread: Double): Array[Double] =
+        Array.tabulate(numPivots + numFilters) { i =>
+          if (i < numPivots) value(near(i), gridSpread) else filterValue(near(i), filterSpread)
+        }
+      def anywhere(): Array[Double] = point(Array.fill(numPivots + numFilters)(rng.nextDouble() * extent), 0, 0)
+      val center = Array.fill(numPivots + numFilters)(rng.nextDouble() * extent)
       val lakeVecs = lake match {
-        case Uniform   => Array.fill(lakeSize)(Array.fill(numPivots)(value(rng.nextDouble() * extent, 0)))
-        case Clustered => Array.fill(lakeSize)(center.map(value(_, 8 * width)))
+        case Uniform   => Array.fill(lakeSize)(anywhere())
+        case Clustered => Array.fill(lakeSize)(point(center, 8 * width, 8 * tau.min(extent)))
         case OneLeaf   =>
           // all inside the cell of the centre, away from its edges
-          val cell = center.map(x => math.min(side - 1, (x / width).toInt))
-          Array.fill(lakeSize)(cell.map(c => (c + 0.25 + rng.nextDouble() / 2) * width))
+          val cell = center.take(numPivots).map(x => math.min(side - 1, (x / width).toInt))
+          Array.fill(lakeSize)(Array.tabulate(numPivots + numFilters) { i =>
+            if (i < numPivots) (cell(i) + 0.25 + rng.nextDouble() / 2) * width
+            else filterValue(center(i), 8 * tau.min(extent))
+          })
       }
       val query = Array.fill(qSize) {
-        if (rng.nextBoolean()) lakeVecs(rng.nextInt(lakeVecs.length)).map(value(_, 2 * width))
-        else Array.fill(numPivots)(value(rng.nextDouble() * extent, 0))
+        if (rng.nextBoolean()) point(lakeVecs(rng.nextInt(lakeVecs.length)), 2 * width, 4 * tau.min(extent))
+        else anywhere()
       }
       (lakeVecs, query)
     }

@@ -37,7 +37,7 @@ class GridGeometrySpec extends AnyFunSuite {
       val qm = pivots.map(q)
       val tau = rng.nextDouble() * 0.8
       tLeaves.foreach { case (t, leaf) =>
-        if (GridGeometry.vectorCellFiltered(leaf.toArray, 0, hgS.width, qm, tau))
+        if (GridGeometry.vectorCellFiltered(leaf.toArray, 0, hgS.numDims, hgS.width, qm, tau))
           assert(VectorOps.euclidean(q, t) > tau, "Lemma 3 filtered a match")
       }
     }
@@ -52,7 +52,7 @@ class GridGeometrySpec extends AnyFunSuite {
       val qm = pivots.map(q)
       val tau = 0.3 + rng.nextDouble() * 0.8
       hgS.leafCells.foreach { leaf =>
-        if (GridGeometry.vectorCellMatched(leaf.key.toArray, 0, hgS.width, qm, tau)) {
+        if (GridGeometry.vectorCellMatched(leaf.key.toArray, 0, hgS.numDims, hgS.width, qm, tau)) {
           tLeaves.filter(_._2 == leaf.key).foreach { case (t, _) =>
             assert(VectorOps.euclidean(q, t) <= tau + 1e-9, "Lemma 5 matched a non-match")
           }
@@ -81,7 +81,7 @@ class GridGeometrySpec extends AnyFunSuite {
             c * wl > (cq + 1) * wl + tau || (c + 1) * wl < cq * wl - tau
           }
           if (inBox && lemma4)
-            assert(GridGeometry.vectorCellFiltered(tLeaf.key.toArray, 0, w, qm, tau),
+            assert(GridGeometry.vectorCellFiltered(tLeaf.key.toArray, 0, hgS.numDims, w, qm, tau),
               s"level $l filtered by Lemma 4 but leaf ${tLeaf.key} not by Lemma 3")
         }
       }
@@ -96,8 +96,8 @@ class GridGeometrySpec extends AnyFunSuite {
         val qm = pivots.map(TestData.near(rng, tLeaves(rng.nextInt(tLeaves.length))._1, 0.1))
         hgS.leafCells.foreach { leaf =>
           val key = leaf.key.toArray
-          assert(!(GridGeometry.vectorCellMatched(key, 0, hgS.width, qm, tau) &&
-                   GridGeometry.vectorCellFiltered(key, 0, hgS.width, qm, tau)))
+          assert(!(GridGeometry.vectorCellMatched(key, 0, hgS.numDims, hgS.width, qm, tau) &&
+                   GridGeometry.vectorCellFiltered(key, 0, hgS.numDims, hgS.width, qm, tau)))
         }
       }
     }
@@ -123,11 +123,43 @@ class GridGeometrySpec extends AnyFunSuite {
           case 2 => extent * (1 + rng.nextDouble())
           case _ => rng.nextDouble() * extent / 2
         }
-        val nonEmpty = GridGeometry.lemma3Range(qm, tau, g.width, g.side, lo, hi)
+        val nonEmpty = GridGeometry.lemma3Range(qm, 0, 1, tau, g.width, g.side, lo, hi)
         assert(nonEmpty == (lo(0) <= hi(0)))
         (0 until g.side).foreach { c =>
-          assert((lo(0) <= c && c <= hi(0)) == !GridGeometry.vectorCellFiltered(Array(c), 0, g.width, qm, tau),
+          assert((lo(0) <= c && c <= hi(0)) == !GridGeometry.vectorCellFiltered(Array(c), 0, 1, g.width, qm, tau),
             s"Lemma 3 range [${lo(0)}, ${hi(0)}] at c=$c q=${qm(0)} tau=$tau m=$levels")
+        }
+      }
+    }
+  }
+
+  test("the Lemma 3 ranges are exact at their edges for 2^16 filter codes and 2^30 leaves") {
+    val rng = new Random(8)
+    for (side <- Seq(HierarchicalGrid.FilterSide, 1 << 30); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
+      val w = extent / side
+      val (lo, hi) = (new Array[Int](3), new Array[Int](3))
+      (1 to 2000).foreach { t =>
+        val onLine = rng.nextInt(side) * w
+        // pivot 0 is skipped (off = 1): the ranges are for pivots 1 and 2
+        val qm = Array(-1.0, math.min(extent, t % 3 match {
+          case 0 => onLine
+          case 1 => math.nextUp(onLine)
+          case _ => rng.nextDouble() * extent
+        }), extent)
+        val tau = t % 4 match {
+          case 0 => 0.0
+          case 1 => rng.nextInt(4) * w
+          case 2 => extent * (1 + rng.nextDouble())
+          case _ => rng.nextDouble() * extent / 8
+        }
+        assert(GridGeometry.lemma3Range(qm, 1, 2, tau, w, side, lo, hi))
+        for (i <- 0 until 2) {
+          val (x, y) = (qm(1 + i) - tau, qm(1 + i) + tau)
+          def passes(c: Int) = !(c * w > y) && !((c + 1) * w < x)
+          val what = s"pivot ${1 + i} range [${lo(i)}, ${hi(i)}] q=${qm(1 + i)} tau=$tau side=$side"
+          assert(0 <= lo(i) && lo(i) <= hi(i) && hi(i) < side, what)
+          assert(passes(lo(i)) && passes(hi(i)), what)
+          assert((lo(i) == 0 || !passes(lo(i) - 1)) && (hi(i) == side - 1 || !passes(hi(i) + 1)), what)
         }
       }
     }

@@ -127,6 +127,27 @@ class HierarchicalGridSpec extends AnyFunSuite {
     }
   }
 
+  test("a filter code brackets its distance as computed doubles, the extent taking the last code") {
+    val rng = new Random(5)
+    for (extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
+      val w = extent / HierarchicalGrid.FilterSide
+      assert(HierarchicalGrid.filterCode(extent, w) == HierarchicalGrid.FilterSide - 1)
+      assert(HierarchicalGrid.filterCode(0.0, w) == 0)
+      (1 to 2000).foreach { t =>
+        val onLine = rng.nextInt(HierarchicalGrid.FilterSide + 1) * w
+        val d = math.min(extent, t % 4 match {
+          case 0 => onLine
+          case 1 => math.nextUp(onLine)
+          case 2 => math.max(0.0, math.nextDown(onLine))
+          case _ => rng.nextDouble() * extent
+        })
+        val c = HierarchicalGrid.filterCode(d, w)
+        assert(c >= 0 && c < HierarchicalGrid.FilterSide && c * w <= d && d <= (c + 1) * w, s"d=$d c=$c extent=$extent")
+        assert(c == HierarchicalGrid.FilterSide - 1 || (c + 1) * w > d, s"d=$d: code $c is not the greatest")
+      }
+    }
+  }
+
   test("level count of cells per dim is 2^level") {
     val g = new HierarchicalGrid(1, 3, extent = 2.0)
     // extremes map to cell 0 and 2^3 - 1

@@ -8,7 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.partition.OutOfCore
 
 /** Property: an index spilled in [[IndexFormat]] and loaded back has the
-  * same flat arrays, grid leaves and build time, and answers every query
+  * same pivots, grid and filter pivots alike, the same flat arrays, grid
+  * leaves, filter boxes and build time, and answers every query
   * as the original does in both verify modes. Lakes come from
   * [[PexesoPropertySpec]]'s generator (m ∈ 1..6, |P| ∈ 1..5), with extra
   * weight on a single-column lake and on lakes of fewer distinct vectors
@@ -33,6 +34,8 @@ class IndexFormatPropertySpec extends AnyFunSuite {
     same(x.segCol, y.segCol) && same(x.segStart, y.segStart) &&
     same(x.mapped, y.mapped) && same(x.vectors, y.vectors) &&
     x.numCells == y.grid.numLeaves && same(y.grid.cells, x.cellCoords) &&
+    x.grid.numFilters == y.grid.numFilters && a.pivots.numPivots == a.numPivots + a.grid.numFilters &&
+    same(x.grid.boxLo, y.grid.boxLo) && same(x.grid.boxHi, y.grid.boxHi) &&
     a.buildNanos == b.buildNanos
   }
 

@@ -12,7 +12,8 @@ import repro.baselines.NaiveSearch
   * unit vectors, across the parameter space and its edges — duplicate
   * vectors (in the lake and between lake and query), a single-column lake,
   * |Q| = 1, τ ∈ {0, small, 2}, T ∈ {1/|Q|, 1}, |P| ∈ 1..5, m ∈ 1..6, both
-  * verify modes, quick browsing on and off.
+  * verify modes, quick browsing on and off. Lakes of fewer vectors than
+  * the 16 pivots an index takes in all get fewer filter pivots.
   */
 class PexesoPropertySpec extends AnyFunSuite {
   import PexesoPropertySpec.genCase
@@ -28,6 +29,38 @@ class PexesoPropertySpec extends AnyFunSuite {
     val params = Test.Parameters.default
       .withMinSuccessfulTests(400)
       .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result, Pretty.Params(2)))
+  }
+
+  test("filter pivots: the grid's pivots first, max(|P|, 16) in all up to the lake size, exact in every mode") {
+    // two in three lakes hold fewer vectors than 16, many of them repeated
+    val genSmall = Gen.frequency(
+      1 -> genCase,
+      2 -> genCase.map(c => c.copy(numCols = 1 + c.numCols % 3, colSize = 1 + c.colSize % 5)))
+    val prop = Prop.forAllNoShrink(genSmall) { c =>
+      val (cols, query) = c.instance
+      val index = PexesoIndex.build(cols, c.numPivots, c.levels)
+      val lake = cols.flatMap(_.vectors)
+      val all = math.min(math.max(c.numPivots, 16), lake.length)
+      val grid = PivotSelection.pcaPivots(lake, c.numPivots).pivots
+      val want = NaiveSearch.search(cols, query, c.tau, c.tFrac).joinable
+      val wrong = for {
+        mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH)
+        qb <- Seq(true, false)
+        got = index.search(query, c.tau, c.tFrac, mode, qb).joinable
+        if got != want
+      } yield s"$mode qb=$qb: got $got"
+      Prop(index.pivots.numPivots == all && index.numPivots == grid.length &&
+           index.grid.numFilters == all - grid.length) :|
+        s"$c: ${index.pivots.numPivots} pivots, |P| = ${index.numPivots}, ${index.grid.numFilters} filter pivots" &&
+      Prop(grid.indices.forall(i => index.pivots.pivots(i).sameElements(grid(i)))) :|
+        s"$c: the grid's pivots are not the first" &&
+      Prop(wrong.isEmpty) :| s"$c: want $want, ${wrong.mkString("; ")}"
+    }
+    val params = Test.Parameters.default
+      .withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(20210422L))
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result, Pretty.Params(2)))
   }

@@ -77,6 +77,70 @@ class PivotSelectionSpec extends AnyFunSuite {
     assert(PivotSelection.sample(vs, 200).length == 100)
   }
 
+  /** The selection before the covariance was formed once: each
+    * power-iteration step computes `Xᵀ(X v)` over the centred sample, and
+    * the picks check a set.
+    */
+  private def implicitPcaPivots(vectors: IndexedSeq[Array[Double]], k: Int): Seq[Array[Double]] = {
+    val dim = vectors.head.length
+    val mu = VectorOps.mean(vectors)
+    def proj(x: Array[Double], v: Array[Double]): Double = (0 until dim).map(i => (x(i) - mu(i)) * v(i)).sum
+    val comps = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
+    var rngState = 7L
+    while (comps.length < math.min(k, dim)) {
+      var v = VectorOps.normalize(Array.fill(dim) {
+        rngState = repro.embed.HashingEmbedder.splitmix64(rngState)
+        rngState.toDouble / Long.MaxValue
+      })
+      (1 to 20).foreach { _ =>
+        val w = new Array[Double](dim)
+        vectors.foreach { x =>
+          val p = proj(x, v)
+          (0 until dim).foreach(i => w(i) += p * (x(i) - mu(i)))
+        }
+        comps.foreach { u =>
+          val d = VectorOps.dot(w, u)
+          (0 until dim).foreach(i => w(i) -= d * u(i))
+        }
+        val n = VectorOps.norm(w)
+        if (n > 1e-12) v = w.map(_ / n)
+      }
+      comps += v
+    }
+    val chosen = scala.collection.mutable.LinkedHashSet.empty[Int]
+    comps.foreach { u =>
+      val free = vectors.indices.filterNot(chosen.contains)
+      if (free.nonEmpty) chosen += free.maxBy(i => math.abs(proj(vectors(i), u)))
+    }
+    while (chosen.size < k && chosen.size < vectors.length) {
+      val free = vectors.indices.filterNot(chosen.contains)
+      chosen += free.maxBy(i => chosen.iterator.map(j => VectorOps.euclidean(vectors(i), vectors(j))).min)
+    }
+    chosen.toSeq.map(vectors)
+  }
+
+  test("the covariance formed once picks the pivots of the implicit X^T(Xv) iteration") {
+    for ((seed, n, dim, k) <- Seq((11L, 200, 8, 5), (12L, 300, 20, 16), (13L, 60, 5, 9), (14L, 12, 6, 16))) {
+      val vs = pool(seed, n, dim)
+      val got = PivotSelection.pcaPivots(vs, k).pivots.toSeq.map(_.toSeq)
+      assert(got == implicitPcaPivots(vs, k).map(_.toSeq), s"seed=$seed n=$n dim=$dim k=$k")
+    }
+  }
+
+  test("pcaPivots(s, 16) starts with pcaPivots(s, |P|), also beyond dim and with duplicate vectors") {
+    val rng = new Random(15)
+    val dupes = {
+      val base = pool(16, 20, 6)
+      IndexedSeq.fill(60)(base(rng.nextInt(base.length)).clone())
+    }
+    for (vs <- Seq(pool(17, 500, 10), pool(18, 100, 4), dupes, pool(19, 7, 3)); p <- 1 to 8) {
+      val all = PivotSelection.pcaPivots(vs, 16).pivots.toSeq.map(_.toSeq)
+      val grid = PivotSelection.pcaPivots(vs, p).pivots.toSeq.map(_.toSeq)
+      assert(all.length == math.min(16, vs.length))
+      assert(all.take(grid.length) == grid, s"|P|=$p n=${vs.length} dim=${vs.head.length}")
+    }
+  }
+
   test("empty pool rejected") {
     intercept[IllegalArgumentException] { PivotSelection.pcaPivots(IndexedSeq.empty, 2) }
   }

@@ -169,6 +169,11 @@ class OutOfCoreSpec extends AnyFunSuite {
     assert(msg.contains("version " + (IndexFormat.Version + 1)), msg)
   }
 
+  test("load rejects a version-2 file, which has no filter pivots") {
+    val (_, msg) = loadFailure(105)(b => withInt(b, 4, _ => 2))
+    assert(msg.contains("unsupported format version 2"), msg)
+  }
+
   /** `bytes` with the trailing checksum recomputed. */
   private def withChecksum(bytes: Array[Byte]): Array[Byte] = {
     val crc = new CRC32C
@@ -186,8 +191,9 @@ class OutOfCoreSpec extends AnyFunSuite {
     */
   private def cellCoordAt(bytes: Array[Byte], i: Int): (Int, Int, Int, Int) = {
     val h = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-    val (dim, np, levels, cols, cells) = (h.getInt(8), h.getInt(12), h.getInt(16), h.getInt(20), h.getInt(24))
-    (IndexFormat.HeaderBytes + 8 * np * dim + 4 * cols + 4 * i, np, levels, cells)
+    val (dim, np, levels, cols, cells, npv) =
+      (h.getInt(8), h.getInt(12), h.getInt(16), h.getInt(20), h.getInt(24), h.getInt(36))
+    (IndexFormat.HeaderBytes + 8 * npv * dim + 4 * cols + 4 * i, np, levels, cells)
   }
 
   test("load rejects two swapped leaf cells, even with a valid checksum") {
@@ -209,6 +215,22 @@ class OutOfCoreSpec extends AnyFunSuite {
       withChecksum(withInt(b, last, _ => 1 << levels))
     }
     assert(msg.contains("bad leaf cells") && msg.contains("coordinate 4 at pivot 1, outside [0, 4)"), msg)
+  }
+
+  test("load rejects a filter box whose least code is above its greatest, even with a valid checksum") {
+    val (_, msg) = loadFailure(106) { b =>
+      val h = ByteBuffer.wrap(b).order(ByteOrder.LITTLE_ENDIAN)
+      val (np, cells, segs, npv) = (h.getInt(12), h.getInt(24), h.getInt(28), h.getInt(36))
+      assert(npv > np)
+      // boxLo follows segStart, boxHi follows boxLo; leaf 0's first filter pivot
+      val (lo0, _, _, _) = cellCoordAt(b, cells * np + (cells + 1) + segs + (segs + 1))
+      val hi = h.getChar(lo0 + 2 * cells * (npv - np))
+      assert(hi < Char.MaxValue) // unit vectors lie below the extent
+      h.putChar(lo0, (hi + 1).toChar)
+      withChecksum(b)
+    }
+    assert(msg.contains("bad filter boxes") && msg.contains("leaf cell 0 has box") &&
+      msg.contains("least code above greatest"), msg)
   }
 
   test("search rejects a bad tau or T before it loads a partition") {
