@@ -29,14 +29,14 @@ final class CellPairs(numQ: Int) {
 }
 
 /** Output of the blocking phase: pairs of (query vector index, target leaf
-  * cell) of `grid`. Matching pairs are proven matches (Lemma 5);
+  * cell) of `index`. Matching pairs are proven matches (Lemma 5);
   * candidate pairs survived filtering (Lemma 3) and need verification.
   *
   * `matching` and `candidates` show the pairs with cell keys, as read-only
   * views over the arrays.
   */
 final class BlockResult(
-    val grid: HierarchicalGrid,
+    val index: InvertedIndex,
     val matchingPairs: CellPairs,
     val candidatePairs: CellPairs,
 ) {
@@ -48,13 +48,14 @@ final class BlockResult(
       def length: Int = pairs.size
       def apply(i: Int): (Int, CellKey) = {
         if (i < 0 || i >= pairs.size) throw new IndexOutOfBoundsException(s"$i of ${pairs.size}")
-        (pairs.q(i), grid.key(pairs.cell(i)))
+        (pairs.q(i), index.key(pairs.cell(i)))
       }
     }
 }
 
 /** Blocking (paper Algorithm 1) + quick browsing (Section III-C), as one
-  * exact range probe of the sorted leaves of `HG_SV` per query vector.
+  * exact range probe of the sorted leaves of `HG_SV`, the cells of the
+  * inverted index, per query vector.
   *
   * Lemma 3 gives q a leaf coordinate range per pivot
   * ([[GridGeometry.lemma3Range]]). For each first coordinate in range,
@@ -65,50 +66,50 @@ final class BlockResult(
   *
   * Lemma 1 holds for any pivot, so the filter pivots beyond the grid's |P|
   * prune too: Lemma 3 gives q a code range on each, and a leaf whose box
-  * (see [[HierarchicalGrid]]) misses one of them holds no match of q and
+  * (see [[InvertedIndex]]) misses one of them holds no match of q and
   * is dropped before it is emitted.
   */
 object Block {
 
   /** Run quick browsing followed by Algorithm 1.
     *
-    * Each query vector's pairs start with its own leaf, the leaf of `HG_SV`
+    * Each query vector's pairs start with its own leaf, the cell of `index`
     * with the key of its `HG_Q` leaf, if there is one and its box passes.
     * Quick browsing makes that pair a candidate without a Lemma 3/5 test,
     * since the cell holds q; without it, the own leaf is tested like the
     * others. The other leaves follow in id order.
     *
     * @param hgQ         grid over the mapped query vectors (leaves hold q ids)
-    * @param hgS         leaves of the mapped repository vectors
+    * @param index       `HG_SV`: the leaves of the mapped repository vectors
     * @param queryMapped mapped query vectors (indexed by q id), on the grid's
-    *                    pivots and then `hgS`'s filter pivots
+    *                    pivots and then `index`'s filter pivots
     * @param tau         distance threshold
     */
   def run(
       hgQ: HierarchicalGrid,
-      hgS: HierarchicalGrid,
+      index: InvertedIndex,
       queryMapped: Array[Array[Double]],
       tau: Double,
       quickBrowsing: Boolean = true,
   ): BlockResult = {
-    require(hgQ.numDims == hgS.numDims && hgQ.levels == hgS.levels && hgQ.extent == hgS.extent,
+    require(hgQ.numDims == index.numPivots && hgQ.levels == index.levels && hgQ.extent == index.extent,
       s"HG_Q (|P|=${hgQ.numDims}, m=${hgQ.levels}, extent ${hgQ.extent}) and " +
-        s"HG_SV (|P|=${hgS.numDims}, m=${hgS.levels}, extent ${hgS.extent}) must have the same shape")
-    val np = hgS.numDims
-    val nf = hgS.numFilters
+        s"HG_SV (|P|=${index.numPivots}, m=${index.levels}, extent ${index.extent}) must have the same shape")
+    val np = index.numPivots
+    val nf = index.numFilters
     require(queryMapped.forall(_.length >= np + nf),
       s"query vectors must be mapped on all ${np + nf} pivots of HG_SV")
     val numQ = queryMapped.length
     val mp = new CellPairs(numQ)
     val cp = new CellPairs(numQ)
-    val res = new BlockResult(hgS, mp, cp)
-    val w = hgS.width
-    val cells = hgS.cells
-    val n = cells.length / np
+    val res = new BlockResult(index, mp, cp)
+    val w = index.width
+    val cells = index.cellCoords
+    val n = index.numCells
     val lo = new Array[Int](np)
     val hi = new Array[Int](np)
-    val boxLo = hgS.boxLo
-    val boxHi = hgS.boxHi
+    val boxLo = index.boxLo
+    val boxHi = index.boxHi
     val codeLo = new Array[Int](nf)
     val codeHi = new Array[Int](nf)
 
@@ -138,16 +139,16 @@ object Block {
     }
 
     hgQ.leafCells.foreach { leaf =>
-      val own = hgS.find(leaf.key.toArray, 0)
+      val own = index.find(leaf.key.toArray, 0)
       leaf.payloads.foreach { q =>
         val qm = queryMapped(q)
         mp.runStart(q) = mp.size; cp.runStart(q) = cp.size
-        if (GridGeometry.lemma3Range(qm, np, nf, tau, hgS.filterWidth, HierarchicalGrid.FilterSide, codeLo, codeHi)) {
+        if (GridGeometry.lemma3Range(qm, np, nf, tau, index.filterWidth, InvertedIndex.FilterSide, codeLo, codeHi)) {
           if (own >= 0 && inBoxes(own)) {
             if (quickBrowsing) cp.add(q, own)
             else if (!GridGeometry.vectorCellFiltered(cells, own * np, np, w, qm, tau)) emit(q, qm, own)
           }
-          if (GridGeometry.lemma3Range(qm, 0, np, tau, w, hgS.side, lo, hi)) {
+          if (GridGeometry.lemma3Range(qm, 0, np, tau, w, index.side, lo, hi)) {
             val a1 = if (np > 1) lo(1) else 0
             val b1 = if (np > 1) hi(1) else 0
             var r = seek(0, lo(0), a1)

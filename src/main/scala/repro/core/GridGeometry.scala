@@ -50,7 +50,7 @@ object GridGeometry {
     *
     * Block takes the leaf ranges on the grid's |P| pivots (`off` 0) and
     * the code ranges of the filter pivots beyond them, whose "cells" are
-    * the codes of width `extent / 2^16` (see [[HierarchicalGrid.filterCode]]).
+    * the codes of width `extent / 2^16` (see [[InvertedIndex.filterCode]]).
     */
   def lemma3Range(qm: Array[Double], off: Int, n: Int, tau: Double, w: Double, side: Int,
                   lo: Array[Int], hi: Array[Int]): Boolean = {

@@ -12,66 +12,65 @@ import scala.collection.immutable.ArraySeq
   * `k = m - l`, and its box `(c >> k)·(extent / 2^l)` is the same double as
   * `((c >> k) << k)·w`, so inner boxes nest exactly on the leaf boxes.
   *
-  * `HG_Q` is filled by [[insert]] with query vector ids as payloads;
-  * `HG_SV` wraps an index's sorted `cellCoords` and takes no inserts.
-  *
-  * `HG_SV` also keeps a box per leaf on each of its `numFilters` filter
-  * pivots, the index's pivots beyond the grid's `numDims`: the least and
-  * greatest [[HierarchicalGrid.filterCode]] of its vectors' distances to
-  * that pivot, `boxLo(c·numFilters + j)` and `boxHi(c·numFilters + j)` for
-  * leaf c and filter pivot j. Lemma 1 on those pivots drops a leaf whose
-  * box misses the query's code range, without adding grid dimensions.
+  * The grid is filled by [[insert]], each mapped vector with a payload:
+  * `HG_Q` holds query vector ids, and [[InvertedIndex.build]] fills one
+  * with repository vector ids to sort them into the leaves of `HG_SV`.
   *
   * `extent` defaults to slightly above the max distance between unit
   * vectors (2.0) so floating-point noise never pushes a mapped coordinate
   * outside the grid.
   */
-final class HierarchicalGrid private[core] (
+final class HierarchicalGrid(
     val numDims: Int,
     val levels: Int,
-    val extent: Double,
-    /** the leaves of an index (not copied, see [[HierarchicalGrid.cellsProblem]]), or null */
-    fixedCells: Array[Int],
-    val numFilters: Int,
-    private[core] val boxLo: Array[Char],
-    private[core] val boxHi: Array[Char],
+    val extent: Double = HierarchicalGrid.DefaultExtent,
 ) {
-  def this(numDims: Int, levels: Int, extent: Double = HierarchicalGrid.DefaultExtent) =
-    this(numDims, levels, extent, null, 0, Array.emptyCharArray, Array.emptyCharArray)
-
   require(numDims >= 1 && levels >= 1 && levels <= HierarchicalGrid.MaxLevels && extent > 0,
     s"bad grid shape: dims=$numDims levels=$levels extent=$extent (levels must be 1..${HierarchicalGrid.MaxLevels})")
 
-  import HierarchicalGrid.{CellKey, Leaf, compareRows}
+  import HierarchicalGrid.{CellKey, Leaf}
 
   /** Leaf cells per dimension, and their edge length. */
   val side: Int = 1 << levels
   val width: Double = widthAt(levels)
-  /** Width of a filter pivot's code. */
-  val filterWidth: Double = extent / HierarchicalGrid.FilterSide
 
   // Inserted leaf coordinates (row-major) and payloads. As of the last
-  // `seal`, leaf c holds the payloads `members(start(c) until start(c + 1))`,
-  // -1 where none was given.
+  // `seal`, leaf c holds the payloads `members(start(c) until start(c + 1))`
+  // in insertion order.
   private[this] var rows = new Array[Int](0)
   private[this] var ids = new Array[Int](0)
   private[this] var numInserted = 0
   private[this] var numSealed = 0
-  private[this] var sorted = if (fixedCells == null) Array.emptyIntArray else fixedCells
-  private[this] var start: Array[Int] = null
-  private[this] var members: Array[Int] = null
+  private[this] var sorted = Array.emptyIntArray
+  private[this] var start = new Array[Int](1)
+  private[this] var members = Array.emptyIntArray
 
+  /** Sort the inserted rows stably by leaf and find where each leaf begins. */
   private def seal(): Unit = if (numSealed != numInserted) {
-    val order = HierarchicalGrid.sortRows(Array.range(0, numInserted), rows, numDims, levels)
-    val first = order.indices.filter(i => i == 0 || compareRows(rows, order(i - 1), rows, order(i) * numDims, numDims) != 0)
-    sorted = first.toArray.flatMap(i => rows.slice(order(i) * numDims, (order(i) + 1) * numDims))
-    start = (first :+ numInserted).toArray
-    members = order.map(ids)
-    numSealed = numInserted
+    val n = numInserted
+    val order = HierarchicalGrid.sortRows(n, rows, numDims, levels)
+    val first = new Array[Int](n + 1)
+    var numLeaves = 0
+    for (i <- 0 until n)
+      if (i == 0 || HierarchicalGrid.compareRows(rows, order(i - 1), rows, order(i) * numDims, numDims) != 0) {
+        first(numLeaves) = i
+        numLeaves += 1
+      }
+    first(numLeaves) = n
+    sorted = new Array[Int](numLeaves * numDims)
+    for (c <- 0 until numLeaves) System.arraycopy(rows, order(first(c)) * numDims, sorted, c * numDims, numDims)
+    for (i <- 0 until n) order(i) = ids(order(i))
+    start = java.util.Arrays.copyOf(first, numLeaves + 1)
+    members = order
+    numSealed = n
   }
 
   /** Leaf coordinates, row-major: leaf c is `cells(c·numDims until (c+1)·numDims)`. */
   private[core] def cells: Array[Int] = { seal(); sorted }
+
+  /** Payloads of leaf c: `leafMembers(leafStart(c) until leafStart(c + 1))`. */
+  private[core] def leafStart: Array[Int] = { seal(); start }
+  private[core] def leafMembers: Array[Int] = { seal(); members }
 
   /** Number of non-empty leaf cells. */
   def numLeaves: Int = cells.length / numDims
@@ -93,47 +92,27 @@ final class HierarchicalGrid private[core] (
     out
   }
 
-  /** Insert a mapped vector; returns its leaf's coordinates. `payload >= 0`
-    * is recorded in the leaf (HG_Q stores query vector indices).
-    */
-  def insert(mapped: Array[Double], payload: Int): CellKey = {
-    if (fixedCells != null) throw new UnsupportedOperationException("the leaves of an index are fixed")
+  /** Insert a mapped vector into its leaf with `payload`. */
+  def insert(mapped: Array[Double], payload: Int): Unit = {
     if (numInserted == ids.length) {
       rows = java.util.Arrays.copyOf(rows, math.max(8, 2 * numInserted) * numDims)
       ids = java.util.Arrays.copyOf(ids, math.max(8, 2 * numInserted))
     }
     System.arraycopy(coordsAt(mapped, levels), 0, rows, numInserted * numDims, numDims)
-    ids(numInserted) = math.max(-1, payload)
+    ids(numInserted) = payload
     numInserted += 1
-    ArraySeq.unsafeWrapArray(rows.slice((numInserted - 1) * numDims, numInserted * numDims))
   }
 
-  /** Id of the leaf with coordinates `coords(off until off + numDims)`, or -1. */
-  private[core] def find(coords: Array[Int], off: Int): Int = {
-    val cs = cells
-    var lo = 0
-    var hi = cs.length / numDims
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      val cmp = compareRows(cs, mid, coords, off, numDims)
-      if (cmp == 0) return mid
-      if (cmp < 0) lo = mid + 1 else hi = mid
-    }
-    -1
-  }
-
-  /** Coordinates of leaf `id`. */
-  def key(id: Int): CellKey = ArraySeq.unsafeWrapArray(cells.slice(id * numDims, (id + 1) * numDims))
-
-  private def leafAt(id: Int): Leaf = Leaf(id, key(id),
-    if (start == null) ArraySeq.empty[Int] else ArraySeq.unsafeWrapArray(members.slice(start(id), start(id + 1)).filter(_ >= 0)))
+  private def leafAt(id: Int): Leaf = Leaf(id,
+    ArraySeq.unsafeWrapArray(sorted.slice(id * numDims, (id + 1) * numDims)),
+    ArraySeq.unsafeWrapArray(members.slice(start(id), start(id + 1))))
 
   /** All non-empty leaf cells, by id. */
   def leafCells: Iterator[Leaf] = Iterator.range(0, numLeaves).map(leafAt)
 
   /** The leaf cell with coordinates `key`, if non-empty. */
   def leaf(key: CellKey): Option[Leaf] =
-    Some(if (key.length == numDims) find(key.toArray, 0) else -1).filter(_ >= 0).map(leafAt)
+    HierarchicalGrid.findKey(cells, numDims, key).map(leafAt)
 }
 
 object HierarchicalGrid {
@@ -152,48 +131,24 @@ object HierarchicalGrid {
   /** Slightly above the unit-vector max distance 2.0 — see class doc. */
   val DefaultExtent: Double = 2.0 + 1e-6
 
-  /** Codes per filter pivot: a code fits a `Char`. */
-  val FilterSide: Int = 1 << 16
-
-  /** The code of a distance `d` in `[0, extent]` on a filter pivot with
-    * codes of width `w = extent / FilterSide`: the greatest c with
-    * `c·w <= d`, so that `c·w <= d <= (c+1)·w` holds as computed doubles,
-    * the bounds Lemma 3 tests a box with. `d / w` is only a first guess:
-    * `c·w` rounds.
+  /** Index of the row `coords(off until off + n)` among the strictly
+    * increasing rows of `cells`, or -1.
     */
-  private[core] def filterCode(d: Double, w: Double): Int = {
-    var c = math.min(FilterSide - 1, math.max(0, (d / w).toInt))
-    while (c > 0 && c * w > d) c -= 1
-    while (c < FilterSide - 1 && (c + 1) * w <= d) c += 1
-    c
-  }
-
-  /** Why `lo`/`hi` are not filter boxes: a box whose least code is above
-    * its greatest.
-    */
-  private[core] def boxesProblem(lo: Array[Char], hi: Array[Char], numDims: Int, numFilters: Int): Option[String] = {
-    var i = 0
-    while (i < lo.length && lo(i) <= hi(i)) i += 1
-    if (i == lo.length) None
-    else Some(s"leaf cell ${i / numFilters} has box [${lo(i).toInt}, ${hi(i).toInt}] on pivot " +
-      s"${numDims + i % numFilters}, least code above greatest")
-  }
-
-  /** Why `cells` are not the leaves of a grid: a coordinate outside
-    * `[0, 2^levels)`, or rows not strictly increasing.
-    */
-  private[core] def cellsProblem(cells: Array[Int], numDims: Int, levels: Int): Option[String] = {
-    var i = 0
-    while (i < cells.length) {
-      val c = i / numDims
-      if (cells(i) < 0 || cells(i) >= (1 << levels))
-        return Some(s"leaf cell $c has coordinate ${cells(i)} at pivot ${i % numDims}, outside [0, ${1 << levels})")
-      if (i % numDims == 0 && c > 0 && compareRows(cells, c - 1, cells, i, numDims) >= 0)
-        return Some(s"leaf cells ${c - 1} and $c are not in strictly increasing order")
-      i += 1
+  private[core] def find(cells: Array[Int], n: Int, coords: Array[Int], off: Int): Int = {
+    var lo = 0
+    var hi = cells.length / n
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      val cmp = compareRows(cells, mid, coords, off, n)
+      if (cmp == 0) return mid
+      if (cmp < 0) lo = mid + 1 else hi = mid
     }
-    None
+    -1
   }
+
+  /** Index of the row `key` among the rows of `cells`, if there. */
+  private[core] def findKey(cells: Array[Int], n: Int, key: CellKey): Option[Int] =
+    Some(if (key.length == n) find(cells, n, key.toArray, 0) else -1).filter(_ >= 0)
 
   /** Row `r` of `a` against `b(off until off + n)`, lexicographically. */
   private[core] def compareRows(a: Array[Int], r: Int, b: Array[Int], off: Int, n: Int): Int = {
@@ -202,24 +157,21 @@ object HierarchicalGrid {
     if (i == n) 0 else Integer.compare(a(r * n + i), b(off + i))
   }
 
-  /** `order` reordered stably by the rows `rows(e·numDims until
-    * (e+1)·numDims)` of its elements e, lexicographically: an LSD radix
-    * sort, one counting sort per byte of a coordinate.
+  /** The rows `0 until n` of `rows` (`rows(e·numDims until (e+1)·numDims)`
+    * for row e), ordered stably and lexicographically: an LSD radix sort,
+    * one counting sort per byte of a coordinate.
     */
-  private[core] def sortRows(order: Array[Int], rows: Array[Int], numDims: Int, levels: Int): Array[Int] = {
-    var out = order
-    for (d <- numDims - 1 to 0 by -1; shift <- 0 until levels by 8)
-      out = stableSort(out, Array.tabulate(rows.length / numDims)(e => (rows(e * numDims + d) >>> shift) & 0xff), 256)
-    out
-  }
-
-  /** `in` reordered stably by `key(in(i))` ∈ `[0, numKeys)`. */
-  private[core] def stableSort(in: Array[Int], key: Array[Int], numKeys: Int): Array[Int] = {
-    val start = new Array[Int](numKeys + 1)
-    in.foreach(e => start(key(e) + 1) += 1)
-    for (k <- 0 until numKeys) start(k + 1) += start(k)
-    val out = new Array[Int](in.length)
-    in.foreach { e => out(start(key(e))) = e; start(key(e)) += 1 }
-    out
+  private def sortRows(n: Int, rows: Array[Int], numDims: Int, levels: Int): Array[Int] = {
+    var order = Array.range(0, n)
+    for (d <- numDims - 1 to 0 by -1; shift <- 0 until levels by 8) {
+      val start = new Array[Int](257)
+      def byte(e: Int) = (rows(e * numDims + d) >>> shift) & 0xff
+      for (i <- 0 until n) start(byte(order(i)) + 1) += 1
+      for (k <- 0 until 256) start(k + 1) += start(k)
+      val out = new Array[Int](n)
+      for (i <- 0 until n) { val e = order(i); out(start(byte(e))) = e; start(byte(e)) += 1 }
+      order = out
+    }
+    order
   }
 }

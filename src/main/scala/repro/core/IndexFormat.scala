@@ -34,9 +34,11 @@ import java.util.zip.CRC32C
   * the version, that the header counts are valid (m at most
   * [[HierarchicalGrid.MaxLevels]], |P_v| at least |P|), that the file size
   * is the one the header implies, the checksum, that the leaf coordinates
-  * are strictly increasing and each in `[0, 2^m)`, and that no box's least
-  * code is above its greatest; a failure is an `IOException` naming the
-  * file and the check.
+  * are strictly increasing and each in `[0, 2^m)`, that `cellSeg` and
+  * `segStart` rise strictly from 0 to the segment and posting counts and
+  * every `segCol` is one of the columns, and that no box's least code is
+  * above its greatest; a failure is an `IOException` naming the file and
+  * the check.
   */
 object IndexFormat {
 
@@ -86,8 +88,8 @@ object IndexFormat {
         .putInt(index.pivots.numPivots).putDouble(inv.extent).putLong(index.buildNanos)
       index.pivots.pivots.foreach(out.doubles)
       Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart).foreach(out.ints)
-      out.chars(inv.grid.boxLo)
-      out.chars(inv.grid.boxHi)
+      out.chars(inv.boxLo)
+      out.chars(inv.boxHi)
       if (padAfter(wordCount(inv.numPivots, index.pivots.numPivots, inv.numColumns, inv.numCells,
           inv.segCol.length)) != 0) out.ints(new Array[Int](1))
       out.doubles(inv.mapped)
@@ -192,10 +194,11 @@ object IndexFormat {
       val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
       val computed = in.checksum
       if (stored != computed) fail(s"checksum mismatch: stored ${hex(stored)}, computed ${hex(computed)}")
-      HierarchicalGrid.cellsProblem(cellCoords, np, levels).foreach(p => fail(s"bad leaf cells: $p"))
-      HierarchicalGrid.boxesProblem(boxLo, boxHi, np, npv - np).foreach(p => fail(s"bad filter boxes: $p"))
+      InvertedIndex.cellsProblem(cellCoords, np, levels).foreach(p => fail(s"bad leaf cells: $p"))
+      InvertedIndex.segmentsProblem(cellSeg, segStart, segCol, cols, posts).foreach(p => fail(s"bad segments: $p"))
+      InvertedIndex.boxesProblem(boxLo, boxHi, np, npv - np).foreach(p => fail(s"bad filter boxes: $p"))
 
-      val inverted = InvertedIndex.fromArrays(np, dim, levels, h.getDouble(40), colIds, cellCoords,
+      val inverted = new InvertedIndex(np, levels, h.getDouble(40), dim, colIds, cellCoords,
         cellSeg, segCol, segStart, npv - np, boxLo, boxHi, mapped, vectors)
       new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
     } finally ch.close()

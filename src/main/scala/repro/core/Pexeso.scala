@@ -1,8 +1,8 @@
 package repro.core
 
 /** Verification strategy selector: `Pexeso` = inverted index + DaaT +
-  * Lemmas 1/2/7 (the paper's method); `PexesoH` = naive per-cell
-  * verification (the ablation "PEXESO-H" of Section VI-A).
+  * Lemmas 1/2/7 (the paper's method); `PexesoH` = the same walk without
+  * Lemmas 1/2/7 (the ablation "PEXESO-H" of Section VI-A); see [[Verify.pexeso]].
   */
 sealed trait VerifyMode
 object VerifyMode {
@@ -11,10 +11,11 @@ object VerifyMode {
 }
 
 /** A built PEXESO index over one repository (or one partition of it):
-  * selected pivots, the grid leaves `HG_SV` over mapped repository
-  * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
-  * Pivots beyond the grid's |P| are filter pivots: `HG_SV` keeps a box of
-  * each leaf on them, and Block drops the leaves whose box rules out q.
+  * selected pivots and the leaf-cell inverted index, whose cells are the
+  * grid leaves `HG_SV` of the mapped repository vectors (paper Sections
+  * III-B/C). Pivots beyond the grid's |P| are filter pivots: the index
+  * keeps a box of each leaf on them, and Block drops the leaves whose box
+  * rules out q.
   *
   * The out-of-core path (Section IV) spills one index per partition to
   * disk in [[IndexFormat]] and loads them back one at a time.
@@ -38,7 +39,8 @@ final class PexesoIndex(
   def numPivots: Int = inverted.numPivots
   def levels: Int = inverted.levels
   def numColumns: Int = inverted.numColumns
-  def grid: HierarchicalGrid = inverted.grid
+  /** `HG_SV`: the inverted index, whose cells are its leaves. */
+  def grid: InvertedIndex = inverted
 
   /** Joinable column search (paper Algorithm 3).
     *
@@ -60,19 +62,14 @@ final class PexesoIndex(
 
     val t0 = System.nanoTime()
     val queryMapped = pivots.mapAll(query)
-    queryMapped.foreach(PexesoIndex.checkMapped(_, grid.extent, "query vector"))
-    val hgQ = new HierarchicalGrid(numPivots, levels, grid.extent)
+    queryMapped.foreach(PexesoIndex.checkMapped(_, inverted.extent, "query vector"))
+    val hgQ = new HierarchicalGrid(numPivots, levels, inverted.extent)
     var q = 0
     while (q < query.length) { hgQ.insert(queryMapped(q), q); q += 1 }
-    val block = Block.run(hgQ, grid, queryMapped, tau, quickBrowsing)
+    val block = Block.run(hgQ, inverted, queryMapped, tau, quickBrowsing)
     val t1 = System.nanoTime()
 
-    val (joinable, stats) = mode match {
-      case VerifyMode.Pexeso =>
-        Verify.pexeso(block, inverted, queryMapped, query, tau, tAbs)
-      case VerifyMode.PexesoH =>
-        Verify.naiveCells(block, inverted, query, tau, tAbs)
-    }
+    val (joinable, stats) = Verify.pexeso(block, inverted, queryMapped, query, tau, tAbs, mode)
     val t2 = System.nanoTime()
 
     SearchResult(

@@ -104,7 +104,10 @@ object Verify {
     s <= t
   }
 
-  /** PEXESO verification (inverted-index + DaaT + Lemmas 1, 2, 7). */
+  /** PEXESO verification (inverted-index + DaaT + Lemmas 1, 2, 7), or with
+    * `VerifyMode.PexesoH` the same walk with no Lemma 1, 2 or 7 (paper
+    * Section VI-A): an exact distance for every posting reached.
+    */
   def pexeso(
       block: BlockResult,
       index: InvertedIndex,
@@ -112,6 +115,7 @@ object Verify {
       queryOriginal: Array[Array[Double]],
       tau: Double,
       tAbs: Int,
+      mode: VerifyMode = VerifyMode.Pexeso,
   ): (Set[Int], Stats) = {
     val stats = new Stats
     val numQ = queryMapped.length
@@ -130,7 +134,9 @@ object Verify {
     val seenAt = new Array[Int](numCols)
     val hitAt = new Array[Int](numCols)
     val seen = new Array[Int](numCols)
-    val np = index.numPivots
+    // pivots tested per posting, and the count Lemma 7 asks a column to be
+    // able to reach; numQ − mismatches is never below 0, so PEXESO-H's 0 never fires
+    val (np, reachable) = if (mode == VerifyMode.PexesoH) (0, 0) else (index.numPivots, tAbs)
     val mapped = index.mapped
     val vectors = index.vectors
     val t = sqThreshold(tau)
@@ -148,7 +154,7 @@ object Verify {
         while (s < index.cellSeg(cell + 1)) {
           val col = index.segCol(s)
           val skip = m.joinable(col) || hitAt(col) == stamp || m.has(col, q) ||
-            numQ - mismatch(col) < tAbs // Lemma 7
+            numQ - mismatch(col) < reachable // Lemma 7
           if (!skip) {
             if (seenAt(col) != stamp) { seenAt(col) = stamp; seen(numSeen) = col; numSeen += 1 }
             var found = false
@@ -188,47 +194,6 @@ object Verify {
         k += 1
       }
       q += 1
-    }
-
-    (m.result(index), stats)
-  }
-
-  /** PEXESO-H verification (paper Section VI-A): same blocking, but each
-    * candidate pair is verified naively — exact distance against every
-    * vector in the cell, no per-vector pivot tests, no Lemma 7; only the
-    * column-level "already joinable" skip that all competitors get.
-    */
-  def naiveCells(
-      block: BlockResult,
-      index: InvertedIndex,
-      queryOriginal: Array[Array[Double]],
-      tau: Double,
-      tAbs: Int,
-  ): (Set[Int], Stats) = {
-    val stats = new Stats
-    val m = new Matches(index.numColumns, queryOriginal.length, tAbs)
-    addMatching(block, index, m)
-
-    val pairs = block.candidatePairs
-    val vectors = index.vectors
-    val t = sqThreshold(tau)
-    var i = 0
-    while (i < pairs.size) {
-      val q = pairs.q(i)
-      val qo = queryOriginal(q)
-      val cell = pairs.cell(i)
-      var s = index.cellSeg(cell)
-      while (s < index.cellSeg(cell + 1)) {
-        val col = index.segCol(s)
-        var p = index.segStart(s)
-        while (p < index.segStart(s + 1) && !m.joinable(col) && !m.has(col, q)) {
-          stats.distanceComputations += 1
-          if (within(qo, vectors, p, t)) m.add(col, q)
-          p += 1
-        }
-        s += 1
-      }
-      i += 1
     }
 
     (m.result(index), stats)

@@ -28,8 +28,7 @@ class BlockPropertySpec extends AnyFunSuite {
   test("Block emits the pairs of a brute-force Lemma 3/5 oracle, own leaf first") {
     val prop = Prop.forAllNoShrink(genCase) { c =>
       val (lake, query) = c.instance
-      val hgS = InvertedIndex.build(new HierarchicalGrid(c.numPivots, c.levels, c.extent), Array(0),
-        new Array[Int](lake.length), lake, lake.map(_ => Array(0.0))).grid
+      val hgS = hgSV(c.numPivots, c.levels, c.extent, lake)
       val hgQ = new HierarchicalGrid(c.numPivots, c.levels, c.extent)
       query.indices.foreach(q => hgQ.insert(query(q), q))
       val res = Block.run(hgQ, hgS, query, c.tau, c.quickBrowsing)
@@ -38,7 +37,7 @@ class BlockPropertySpec extends AnyFunSuite {
       val gotMatching = pairs(res.matchingPairs)
       val gotCandidates = pairs(res.candidatePairs)
       val ownFirst = query.indices.forall { q =>
-        val own = hgS.find(hgS.coordsAt(query(q), c.levels), 0)
+        val own = hgS.find(hgQ.coordsAt(query(q), c.levels), 0)
         Seq(gotMatching, gotCandidates).forall { ps =>
           val mine = ps.filter(_._1 == q)
           !mine.exists(_._2 == own) || mine.head._2 == own
@@ -67,15 +66,22 @@ object BlockPropertySpec {
 
   final case class Expected(matching: Set[(Int, Int)], candidates: Set[(Int, Int)])
 
+  /** `HG_SV` over the mapped vectors `lake`, all in one column. */
+  def hgSV(numPivots: Int, levels: Int, extent: Double, lake: Array[Array[Double]]): InvertedIndex =
+    InvertedIndex.build(new HierarchicalGrid(numPivots, levels, extent), Array(0),
+      new Array[Int](lake.length), lake, lake.map(_ => Array(0.0)))
+
   def pairs(p: CellPairs): IndexedSeq[(Int, Int)] = (0 until p.size).map(i => (p.q(i), p.cell(i)))
 
   /** Every (q, leaf) pair classified on its own, by the lemmas written
     * out here on the leaf box `[lo, hi]` and on the filter boxes of the
     * leaf's `lake` vectors, rather than taken from [[GridGeometry]].
     */
-  def oracle(hgS: HierarchicalGrid, lake: Array[Array[Double]], query: Array[Array[Double]], tau: Double,
+  def oracle(hgS: InvertedIndex, lake: Array[Array[Double]], query: Array[Array[Double]], tau: Double,
              quickBrowsing: Boolean): Expected = {
-    val np = hgS.numDims
+    val np = hgS.numPivots
+    val grid = new HierarchicalGrid(np, hgS.levels, hgS.extent)
+    def leafOf(v: Array[Double]): Seq[Int] = grid.coordsAt(v, hgS.levels).toSeq
     val wf = hgS.extent / 65536
     // the greatest code c with c·wf <= d
     def code(d: Double): Int = {
@@ -86,13 +92,14 @@ object BlockPropertySpec {
     }
     val matching = Set.newBuilder[(Int, Int)]
     val candidates = Set.newBuilder[(Int, Int)]
-    for (leaf <- hgS.leafCells) {
-      val members = lake.filter(v => hgS.coordsAt(v, hgS.levels).toSeq == leaf.key)
+    for (id <- 0 until hgS.numCells) {
+      val key = hgS.key(id)
+      val members = lake.filter(v => leafOf(v) == key)
       val boxes = (np until np + hgS.numFilters).map(j => (members.map(v => code(v(j))).min, members.map(v => code(v(j))).max))
       for (q <- query.indices) {
         val qm = query(q)
-        def lo(i: Int) = leaf.key(i) * hgS.width
-        def hi(i: Int) = (leaf.key(i) + 1) * hgS.width
+        def lo(i: Int) = key(i) * hgS.width
+        def hi(i: Int) = (key(i) + 1) * hgS.width
         val boxed = boxes.indices.exists { j =>
           val (a, b) = boxes(j)
           a * wf > qm(np + j) + tau || (b + 1) * wf < qm(np + j) - tau
@@ -100,8 +107,8 @@ object BlockPropertySpec {
         val lemma3 = (0 until np).exists(i => lo(i) > qm(i) + tau || hi(i) < qm(i) - tau)
         val lemma5 = (0 until np).exists(i => tau - qm(i) >= 0 && hi(i) <= tau - qm(i))
         if (boxed) ()
-        else if (quickBrowsing && leaf.key == hgS.coordsAt(qm, hgS.levels).toSeq) candidates += ((q, leaf.id))
-        else if (!lemma3) (if (lemma5) matching else candidates) += ((q, leaf.id))
+        else if (quickBrowsing && key == leafOf(qm)) candidates += ((q, id))
+        else if (!lemma3) (if (lemma5) matching else candidates) += ((q, id))
       }
     }
     Expected(matching.result(), candidates.result())

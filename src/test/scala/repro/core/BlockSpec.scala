@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.util.Random
 import repro.TestData
@@ -20,8 +21,9 @@ class BlockSpec extends AnyFunSuite {
       if (rng.nextBoolean()) TestData.near(rng, targets(rng.nextInt(targets.length)), 0.1)
       else TestData.unitVec(rng, dim))
     val pivots = PivotSelection.pcaPivots(targets.toIndexedSeq, numPivots)
-    val hgS = new HierarchicalGrid(numPivots, levels)
-    val targetLeaf = targets.map(t => hgS.insert(pivots.map(t), -1))
+    val targetsMapped = pivots.mapAll(targets)
+    val hgS = BlockPropertySpec.hgSV(numPivots, levels, HierarchicalGrid.DefaultExtent, targetsMapped)
+    val targetLeaf = targetsMapped.map(m => ArraySeq.unsafeWrapArray(new HierarchicalGrid(numPivots, levels).coordsAt(m, levels)))
     val hgQ = new HierarchicalGrid(numPivots, levels)
     val queryMapped = pivots.mapAll(queries)
     queries.indices.foreach(i => hgQ.insert(queryMapped(i), i))
@@ -92,7 +94,7 @@ class BlockSpec extends AnyFunSuite {
 
   test("mismatched level counts are rejected") {
     val hgQ = new HierarchicalGrid(2, 2)
-    val hgS = new HierarchicalGrid(2, 3)
+    val hgS = BlockPropertySpec.hgSV(2, 3, HierarchicalGrid.DefaultExtent, Array(Array(0.5, 0.5)))
     intercept[IllegalArgumentException] {
       Block.run(hgQ, hgS, Array(Array(0.5, 0.5)), 0.1)
     }
@@ -101,10 +103,10 @@ class BlockSpec extends AnyFunSuite {
   test("mismatched pivot counts or extents are rejected") {
     // another |P| would index past the query's pivot images; another
     // extent would let quick browsing pair equal keys of different regions
-    for (hgS <- Seq(new HierarchicalGrid(3, 2), new HierarchicalGrid(2, 2, extent = 4.0))) {
+    for (hgS <- Seq(BlockPropertySpec.hgSV(3, 2, HierarchicalGrid.DefaultExtent, Array(Array(0.5, 0.5, 0.5))),
+                    BlockPropertySpec.hgSV(2, 2, 4.0, Array(Array(0.5, 0.5))))) {
       val hgQ = new HierarchicalGrid(2, 2)
       hgQ.insert(Array(0.5, 0.5), 0)
-      hgS.insert(Array(0.5, 0.5, 0.5).take(hgS.numDims), -1)
       val e = intercept[IllegalArgumentException] {
         Block.run(hgQ, hgS, Array(Array(0.5, 0.5)), 0.1)
       }

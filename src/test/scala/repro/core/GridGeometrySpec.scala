@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 import repro.TestData
 import repro.embed.VectorOps
@@ -25,8 +26,12 @@ class GridGeometrySpec extends AnyFunSuite {
     val queries = Array.fill(20)(TestData.unitVec(rng, dim))
     val hgS = new HierarchicalGrid(2, levels)
     val hgQ = new HierarchicalGrid(2, levels)
-    val tLeaves = targets.map(t => (t, hgS.insert(pivots.map(t), -1)))
-    val qLeaves = queries.zipWithIndex.map { case (q, i) => (q, hgQ.insert(pivots.map(q), i)) }
+    def leaf(g: HierarchicalGrid, v: Array[Double], i: Int) = {
+      g.insert(pivots.map(v), i)
+      (v, ArraySeq.unsafeWrapArray(g.coordsAt(pivots.map(v), levels)))
+    }
+    val tLeaves = targets.zipWithIndex.map { case (t, i) => leaf(hgS, t, i) }
+    val qLeaves = queries.zipWithIndex.map { case (q, i) => leaf(hgQ, q, i) }
     (rng, pivots, tLeaves, qLeaves, hgS, hgQ)
   }
 
@@ -135,7 +140,7 @@ class GridGeometrySpec extends AnyFunSuite {
 
   test("the Lemma 3 ranges are exact at their edges for 2^16 filter codes and 2^30 leaves") {
     val rng = new Random(8)
-    for (side <- Seq(HierarchicalGrid.FilterSide, 1 << 30); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
+    for (side <- Seq(InvertedIndex.FilterSide, 1 << 30); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
       val w = extent / side
       val (lo, hi) = (new Array[Int](3), new Array[Int](3))
       (1 to 2000).foreach { t =>

@@ -27,15 +27,9 @@ class HierarchicalGridSpec extends AnyFunSuite {
 
   test("insert stores the payload at its leaf") {
     val g = new HierarchicalGrid(2, 3)
-    val key = g.insert(Array(0.3, 0.7), payload = 42)
-    assert(key == ArraySeq(1, 2))
-    assert(g.leafCells.toSeq == Seq(HierarchicalGrid.Leaf(0, key, IndexedSeq(42))))
-  }
-
-  test("insert with payload -1 leaves the leaf payload empty (HG_SV style)") {
-    val g = new HierarchicalGrid(2, 2)
-    val key = g.insert(Array(0.3, 0.7), payload = -1)
-    assert(g.leaf(key).get.payloads.isEmpty)
+    g.insert(Array(0.3, 0.7), payload = 42)
+    assert(g.coordsAt(Array(0.3, 0.7), 3).toSeq == Seq(1, 2))
+    assert(g.leafCells.toSeq == Seq(HierarchicalGrid.Leaf(0, ArraySeq(1, 2), IndexedSeq(42))))
   }
 
   test("only non-empty cells are materialized") {
@@ -48,16 +42,18 @@ class HierarchicalGridSpec extends AnyFunSuite {
 
   test("same-cell vectors share one leaf") {
     val g = new HierarchicalGrid(2, 2)
-    val a = g.insert(Array(0.10, 0.10), 0)
-    val b = g.insert(Array(0.12, 0.11), 1)
-    assert(a == b)
+    g.insert(Array(0.10, 0.10), 0)
+    g.insert(Array(0.12, 0.11), 1)
+    val a = g.coordsAt(Array(0.10, 0.10), 2)
+    assert(a.toSeq == g.coordsAt(Array(0.12, 0.11), 2).toSeq)
     assert(g.numLeaves == 1)
-    assert(g.leaf(a).get.payloads == Seq(0, 1))
+    assert(g.leaf(ArraySeq.unsafeWrapArray(a)).get.payloads == Seq(0, 1))
   }
 
   test("leaf lookup by key finds the materialized leaf") {
     val g = new HierarchicalGrid(2, 3)
-    val key = g.insert(Array(0.3, 1.7), 5)
+    g.insert(Array(0.3, 1.7), 5)
+    val key = ArraySeq.unsafeWrapArray(g.coordsAt(Array(0.3, 1.7), 3))
     val found = g.leaf(key)
     assert(found.isDefined)
     assert(found.get.key == key && found.get.payloads == Seq(5))
@@ -70,7 +66,9 @@ class HierarchicalGridSpec extends AnyFunSuite {
     val g = new HierarchicalGrid(3, 4)
     (1 to 200).foreach { i =>
       val v = Array.fill(3)(rng.nextDouble() * 2.0)
-      val key = g.insert(v, i)
+      g.insert(v, i)
+      val key = ArraySeq.unsafeWrapArray(g.coordsAt(v, g.levels))
+      assert(g.leaf(key).exists(_.payloads.contains(i)))
       (0 until 3).foreach { d =>
         assert(key(d) * g.width <= v(d) + 1e-12 && v(d) <= (key(d) + 1) * g.width + 1e-12)
       }
@@ -106,11 +104,6 @@ class HierarchicalGridSpec extends AnyFunSuite {
     assert(g.leaf(ArraySeq(3, 0, 0)).get.payloads.last == 300)
   }
 
-  test("the leaves of an index cannot be inserted into") {
-    val index = PexesoIndex.build(repro.TestData.clusteredColumns(new Random(3), 3, 5, 4), 2, 2)
-    intercept[UnsupportedOperationException](index.grid.insert(Array(0.5, 0.5), 0))
-  }
-
   test("inner-level boxes nest exactly on the leaf boxes") {
     val rng = new Random(4)
     for (m <- Seq(1, 2, 6, 17, 30); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
@@ -123,27 +116,6 @@ class HierarchicalGridSpec extends AnyFunSuite {
           assert(inner * g.widthAt(l) == ((inner << k) * g.width), s"lo m=$m l=$l c=$c")
           assert((inner + 1) * g.widthAt(l) == (((inner + 1) << k) * g.width), s"hi m=$m l=$l c=$c")
         }
-      }
-    }
-  }
-
-  test("a filter code brackets its distance as computed doubles, the extent taking the last code") {
-    val rng = new Random(5)
-    for (extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
-      val w = extent / HierarchicalGrid.FilterSide
-      assert(HierarchicalGrid.filterCode(extent, w) == HierarchicalGrid.FilterSide - 1)
-      assert(HierarchicalGrid.filterCode(0.0, w) == 0)
-      (1 to 2000).foreach { t =>
-        val onLine = rng.nextInt(HierarchicalGrid.FilterSide + 1) * w
-        val d = math.min(extent, t % 4 match {
-          case 0 => onLine
-          case 1 => math.nextUp(onLine)
-          case 2 => math.max(0.0, math.nextDown(onLine))
-          case _ => rng.nextDouble() * extent
-        })
-        val c = HierarchicalGrid.filterCode(d, w)
-        assert(c >= 0 && c < HierarchicalGrid.FilterSide && c * w <= d && d <= (c + 1) * w, s"d=$d c=$c extent=$extent")
-        assert(c == HierarchicalGrid.FilterSide - 1 || (c + 1) * w > d, s"d=$d: code $c is not the greatest")
       }
     }
   }

@@ -33,9 +33,8 @@ class IndexFormatPropertySpec extends AnyFunSuite {
     same(x.colIds, y.colIds) && same(x.cellCoords, y.cellCoords) && same(x.cellSeg, y.cellSeg) &&
     same(x.segCol, y.segCol) && same(x.segStart, y.segStart) &&
     same(x.mapped, y.mapped) && same(x.vectors, y.vectors) &&
-    x.numCells == y.grid.numLeaves && same(y.grid.cells, x.cellCoords) &&
-    x.grid.numFilters == y.grid.numFilters && a.pivots.numPivots == a.numPivots + a.grid.numFilters &&
-    same(x.grid.boxLo, y.grid.boxLo) && same(x.grid.boxHi, y.grid.boxHi) &&
+    x.numFilters == y.numFilters && a.pivots.numPivots == a.numPivots + a.inverted.numFilters &&
+    same(x.boxLo, y.boxLo) && same(x.boxHi, y.boxHi) &&
     a.buildNanos == b.buildNanos
   }
 

@@ -233,6 +233,44 @@ class OutOfCoreSpec extends AnyFunSuite {
       msg.contains("least code above greatest"), msg)
   }
 
+  /** Byte offsets of `cellSeg(0)`, `segCol(0)` and `segStart(0)` in an
+    * index file, which follow `cellCoords`, and its leaf cell count.
+    */
+  private def segmentArraysAt(bytes: Array[Byte]): (Int, Int, Int, Int) = {
+    val h = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+    val (np, cells, segs) = (h.getInt(12), h.getInt(24), h.getInt(28))
+    val (cellSeg, _, _, _) = cellCoordAt(bytes, cells * np)
+    (cellSeg, cellSeg + 4 * (cells + 1), cellSeg + 4 * (cells + 1 + segs), cells)
+  }
+
+  test("load rejects a leaf cell without segments, even with a valid checksum") {
+    val (_, msg) = loadFailure(107) { b =>
+      val (cellSeg, _, _, cells) = segmentArraysAt(b)
+      assert(cells >= 2)
+      withChecksum(withInt(b, cellSeg + 4, _ => 0))
+    }
+    assert(msg.contains("bad segments") && msg.contains("cellSeg(1) = 0 is not above cellSeg(0) = 0"), msg)
+  }
+
+  test("load rejects segment starts that decrease, even with a valid checksum") {
+    val (_, msg) = loadFailure(108) { b =>
+      val (_, segCol, segStart, _) = segmentArraysAt(b)
+      assert(segStart - segCol >= 12) // at least 3 segments
+      val h = ByteBuffer.wrap(b).order(ByteOrder.LITTLE_ENDIAN)
+      withChecksum(withInt(b, segStart + 4, _ => h.getInt(segStart + 8) + 1))
+    }
+    assert(msg.contains("bad segments") && msg.contains("segStart(2) = ") &&
+      msg.contains("is not above segStart(1) = "), msg)
+  }
+
+  test("load rejects a segment column beyond the column count, even with a valid checksum") {
+    val (_, msg) = loadFailure(109) { b =>
+      val (_, segCol, _, _) = segmentArraysAt(b)
+      withChecksum(withInt(b, segCol, _ => ByteBuffer.wrap(b).order(ByteOrder.LITTLE_ENDIAN).getInt(20)))
+    }
+    assert(msg.contains("bad segments") && msg.contains("segment 0 has column 4, outside [0, 4)"), msg)
+  }
+
   test("search rejects a bad tau or T before it loads a partition") {
     val (_, query) = TestData.searchInstance(seed = 102)
     val missing = Seq(OutOfCore.SpilledIndex(0, Files.createTempDirectory("pexeso-ooc7").resolve("none.bin"), 1))
