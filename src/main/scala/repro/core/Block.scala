@@ -57,17 +57,19 @@ final class BlockResult(
   * exact range probe of the sorted leaves of `HG_SV`, the cells of the
   * inverted index, per query vector.
   *
-  * Lemma 3 gives q a leaf coordinate range per pivot
-  * ([[GridGeometry.lemma3Range]]). For each first coordinate in range,
-  * binary search bounds the run of leaves whose second coordinate is in
-  * range, and integer compares test the rest; Lemma 5 then decides
-  * matching or candidate. The paper's descent through the inner levels with Lemmas 4
-  * and 6 would prune nothing more (see [[GridGeometry]]).
+  * Lemma 3 gives q a code range on every pivot, in one
+  * [[GridGeometry.lemma3Range]] call. On the grid's |P| pivots the ranges
+  * shifted to the leaf level are leaf coordinate ranges: for each first
+  * coordinate in range, binary search bounds the run of leaves whose
+  * second coordinate is in range, and integer compares test the rest;
+  * Lemma 5 then decides matching or candidate. The paper's descent through
+  * the inner levels with Lemmas 4 and 6 would prune nothing more (see
+  * [[GridGeometry]]).
   *
   * Lemma 1 holds for any pivot, so the filter pivots beyond the grid's |P|
-  * prune too: Lemma 3 gives q a code range on each, and a leaf whose box
-  * (see [[InvertedIndex]]) misses one of them holds no match of q and
-  * is dropped before it is emitted.
+  * prune too: a leaf whose box (see [[InvertedIndex]]) misses q's code
+  * range on one of them holds no match of q and is dropped before it is
+  * emitted.
   */
 object Block {
 
@@ -103,26 +105,33 @@ object Block {
     val mp = new CellPairs(numQ)
     val cp = new CellPairs(numQ)
     val res = new BlockResult(index, mp, cp)
-    val w = index.width
+    val w = index.codeWidth
+    val shift = GridGeometry.CodeBits - index.levels
     val cells = index.cellCoords
     val n = index.numCells
-    val lo = new Array[Int](np)
-    val hi = new Array[Int](np)
+    // q's code ranges on all pivots; the first np are then leaf ranges
+    val lo = new Array[Int](np + nf)
+    val hi = new Array[Int](np + nf)
     val boxLo = index.boxLo
     val boxHi = index.boxHi
-    val codeLo = new Array[Int](nf)
-    val codeHi = new Array[Int](nf)
 
     def emit(q: Int, qm: Array[Double], r: Int): Unit =
-      if (GridGeometry.vectorCellMatched(cells, r * np, np, w, qm, tau)) mp.add(q, r)
+      if (GridGeometry.vectorCellMatched(cells, r * np, np, shift, w, qm, tau)) mp.add(q, r)
       else cp.add(q, r)
 
     // whether leaf r's box meets q's code range on every filter pivot
     def inBoxes(r: Int): Boolean = {
       val off = r * nf
       var j = 0
-      while (j < nf && boxLo(off + j) <= codeHi(j) && codeLo(j) <= boxHi(off + j)) j += 1
+      while (j < nf && boxLo(off + j) <= hi(np + j) && lo(np + j) <= boxHi(off + j)) j += 1
       j == nf
+    }
+
+    // whether leaf r is in q's leaf range on the grid pivots from `from` on
+    def inRange(r: Int, from: Int): Boolean = {
+      var i = from
+      while (i < np && lo(i) <= cells(r * np + i) && cells(r * np + i) <= hi(i)) i += 1
+      i >= np
     }
 
     // the first leaf at or after `from` whose first two coordinates are at
@@ -143,29 +152,28 @@ object Block {
       leaf.payloads.foreach { q =>
         val qm = queryMapped(q)
         mp.runStart(q) = mp.size; cp.runStart(q) = cp.size
-        if (GridGeometry.lemma3Range(qm, np, nf, tau, index.filterWidth, InvertedIndex.FilterSide, codeLo, codeHi)) {
+        val nonEmpty = GridGeometry.lemma3Range(qm, np + nf, tau, w, lo, hi)
+        var i = 0
+        while (i < np) { lo(i) >>= shift; hi(i) >>= shift; i += 1 }
+        if (nonEmpty) {
           if (own >= 0 && inBoxes(own)) {
             if (quickBrowsing) cp.add(q, own)
-            else if (!GridGeometry.vectorCellFiltered(cells, own * np, np, w, qm, tau)) emit(q, qm, own)
+            else if (inRange(own, 0)) emit(q, qm, own)
           }
-          if (GridGeometry.lemma3Range(qm, 0, np, tau, w, index.side, lo, hi)) {
-            val a1 = if (np > 1) lo(1) else 0
-            val b1 = if (np > 1) hi(1) else 0
-            var r = seek(0, lo(0), a1)
-            while (r < n && cells(r * np) <= hi(0)) {
-              val c0 = cells(r * np)
-              if (np > 1 && cells(r * np + 1) < a1) r = seek(r + 1, c0, a1)
-              else {
-                // the leaves from r with first coordinate c0 and second in range
-                val end = if (np > 1) seek(r, c0, b1 + 1) else seek(r, c0 + 1, 0)
-                while (r < end) {
-                  var i = 2
-                  while (i < np && lo(i) <= cells(r * np + i) && cells(r * np + i) <= hi(i)) i += 1
-                  if (i >= np && r != own && inBoxes(r)) emit(q, qm, r)
-                  r += 1
-                }
-                r = seek(r, c0 + 1, a1)
+          val a1 = if (np > 1) lo(1) else 0
+          val b1 = if (np > 1) hi(1) else 0
+          var r = seek(0, lo(0), a1)
+          while (r < n && cells(r * np) <= hi(0)) {
+            val c0 = cells(r * np)
+            if (np > 1 && cells(r * np + 1) < a1) r = seek(r + 1, c0, a1)
+            else {
+              // the leaves from r with first coordinate c0 and second in range
+              val end = if (np > 1) seek(r, c0, b1 + 1) else seek(r, c0 + 1, 0)
+              while (r < end) {
+                if (inRange(r, 2) && r != own && inBoxes(r)) emit(q, qm, r)
+                r += 1
               }
+              r = seek(r, c0 + 1, a1)
             }
           }
         }

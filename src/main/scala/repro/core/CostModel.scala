@@ -18,11 +18,7 @@ import java.util.Arrays
   * query workload via gradient descent on a continuous relaxation of m
   * and round up, as in the paper.
   */
-final class CostModel(
-    mappedSample: Array[Array[Double]],
-    val numPivots: Int,
-    val extent: Double = HierarchicalGrid.DefaultExtent,
-) extends Serializable {
+final class CostModel(mappedSample: Array[Array[Double]], val numPivots: Int) extends Serializable {
   require(mappedSample.nonEmpty, "empty mapped sample")
 
   /** Sorted per-dimension values — the empirical distribution PDF_i. */
@@ -52,7 +48,7 @@ final class CostModel(
     * level m.
     */
   def nMax(qMapped: Array[Double], tau: Double, m: Double): Double = {
-    val halfCell = extent / (2.0 * math.pow(2.0, m))
+    val halfCell = HierarchicalGrid.DefaultExtent / (2.0 * math.pow(2.0, m))
     var best = Double.MaxValue
     var i = 0
     while (i < numPivots) {
@@ -66,20 +62,10 @@ final class CostModel(
   /** Number of distinct occupied cells of `vectors` at integer level l —
     * the exact sparse-grid width the paper's blocking descent walks.
     */
-  private def distinctCells(vectors: Array[Array[Double]], level: Int): Int = {
-    val cellsPerDim = 1 << level
-    val w = extent / cellsPerDim
-    val seen = new java.util.HashSet[java.util.List[Integer]]()
-    vectors.foreach { v =>
-      val coords = new java.util.ArrayList[Integer](numPivots)
-      var i = 0
-      while (i < numPivots) {
-        coords.add(math.min(cellsPerDim - 1, math.max(0, (v(i) / w).toInt)))
-        i += 1
-      }
-      seen.add(coords); ()
-    }
-    seen.size
+  private[core] def distinctCells(vectors: Array[Array[Double]], level: Int): Int = {
+    val grid = new HierarchicalGrid(numPivots, level)
+    vectors.foreach(grid.insert(_, 0))
+    grid.numLeaves
   }
 
   /** Eq. 1 estimate for a workload of (mapped query column, τ) pairs at

@@ -5,12 +5,13 @@ import scala.collection.immutable.ArraySeq
 /** Sparse grid over the pivot space (paper Section III-B), kept as its
   * non-empty leaf cells alone.
   *
-  * A leaf is one coordinate in `[0, 2^m)` per pivot, and its box in
-  * dimension i is `[c_i·w, (c_i+1)·w]` with `w = extent / 2^m`. Leaves are
-  * sorted lexicographically and a leaf's id is its rank. The paper's levels
-  * `l < m` are not stored: the level-l cell of leaf c is `c >> k` with
-  * `k = m - l`, and its box `(c >> k)·(extent / 2^l)` is the same double as
-  * `((c >> k) << k)·w`, so inner boxes nest exactly on the leaf boxes.
+  * A leaf is one coordinate in `[0, 2^m)` per pivot: the top m bits of the
+  * pivot distance's 16-bit code ([[GridGeometry.code]]), so a leaf's box
+  * brackets every vector in it. Leaves are sorted lexicographically and a
+  * leaf's id is its rank. The paper's levels `l < m` are not stored: the
+  * level-l cell of a vector is the top l bits of the same code, which is
+  * `c >> (m − l)` for its leaf c, so inner cells nest on leaves by
+  * definition.
   *
   * The grid is filled by [[insert]], each mapped vector with a payload:
   * `HG_Q` holds query vector ids, and [[InvertedIndex.build]] fills one
@@ -30,9 +31,7 @@ final class HierarchicalGrid(
 
   import HierarchicalGrid.{CellKey, Leaf}
 
-  /** Leaf cells per dimension, and their edge length. */
-  val side: Int = 1 << levels
-  val width: Double = widthAt(levels)
+  private[this] val codeWidth = GridGeometry.codeWidth(extent)
 
   // Inserted leaf coordinates (row-major) and payloads. As of the last
   // `seal`, leaf c holds the payloads `members(start(c) until start(c + 1))`
@@ -75,18 +74,14 @@ final class HierarchicalGrid(
   /** Number of non-empty leaf cells. */
   def numLeaves: Int = cells.length / numDims
 
-  /** Cell edge length at `level`. */
-  def widthAt(level: Int): Double = extent / (1 << level)
-
-  /** Grid coordinates of a mapped vector at `level` (clamped into range). */
+  /** Grid coordinates of a mapped vector at `level` (clamped into range):
+    * the top `level` bits of each code.
+    */
   def coordsAt(mapped: Array[Double], level: Int): Array[Int] = {
-    val cellsPerDim = 1 << level
-    val w = widthAt(level)
     val out = new Array[Int](numDims)
     var i = 0
     while (i < numDims) {
-      val c = (mapped(i) / w).toInt
-      out(i) = math.min(cellsPerDim - 1, math.max(0, c))
+      out(i) = GridGeometry.code(mapped(i), codeWidth) >> (GridGeometry.CodeBits - level)
       i += 1
     }
     out
@@ -122,11 +117,8 @@ object HierarchicalGrid {
   /** A non-empty leaf cell: its id, coordinates and payloads. */
   final case class Leaf(id: Int, key: CellKey, payloads: IndexedSeq[Int])
 
-  /** Deepest level: `1 << level` cells per dimension must stay a positive
-    * `Int`, or cell widths and boxes go wrong and the lemmas report false
-    * matches.
-    */
-  val MaxLevels: Int = 30
+  /** Deepest level: a leaf coordinate is a prefix of a 16-bit code. */
+  val MaxLevels: Int = GridGeometry.CodeBits
 
   /** Slightly above the unit-vector max distance 2.0 — see class doc. */
   val DefaultExtent: Double = 2.0 + 1e-6

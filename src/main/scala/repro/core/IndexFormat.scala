@@ -30,21 +30,23 @@ import java.util.zip.CRC32C
   * header included.
   *
   * Since version 2 the leaf cells in `cellCoords` are sorted; version 3
-  * adds the filter pivots and boxes. A read checks, in order, the magic,
-  * the version, that the header counts are valid (m at most
-  * [[HierarchicalGrid.MaxLevels]], |P_v| at least |P|), that the file size
-  * is the one the header implies, the checksum, that the leaf coordinates
-  * are strictly increasing and each in `[0, 2^m)`, that `cellSeg` and
-  * `segStart` rise strictly from 0 to the segment and posting counts and
-  * every `segCol` is one of the columns, and that no box's least code is
-  * above its greatest; a failure is an `IOException` naming the file and
-  * the check.
+  * adds the filter pivots and boxes; in version 4 a leaf coordinate is the
+  * top m bits of its vectors' 16-bit codes (see [[HierarchicalGrid]]), so
+  * m is at most 16. A read checks, in order, the magic, the version, that
+  * the header counts are valid (m at most [[HierarchicalGrid.MaxLevels]],
+  * |P_v| at least |P|), that the extent is
+  * [[HierarchicalGrid.DefaultExtent]], that the file size is the one the
+  * header implies, the checksum, that the leaf coordinates are strictly
+  * increasing and each in `[0, 2^m)`, that `cellSeg` and `segStart` rise
+  * strictly from 0 to the segment and posting counts and every `segCol` is
+  * one of the columns, and that no box's least code is above its greatest;
+  * a failure is an `IOException` naming the file and the check.
   */
 object IndexFormat {
 
   /** "PXSO" in file byte order. */
   val Magic: Int = 0x4f535850
-  val Version: Int = 3
+  val Version: Int = 4
   val HeaderBytes: Int = 56
 
   /** Arrays are copied and checksummed in slices of this many bytes, small
@@ -176,6 +178,8 @@ object IndexFormat {
       val implied = sizeOf(dim, np, npv, levels, cols, cells, segs, posts)
       if (implied < 0) fail(s"invalid header counts: dim=$dim |P|=$np |P_v|=$npv m=$levels columns=$cols " +
         s"cells=$cells segments=$segs postings=$posts")
+      val extent = h.getDouble(40) // the codes were cut for the default, and other boxes would miss their vectors
+      if (extent != HierarchicalGrid.DefaultExtent) fail(s"extent $extent, expected ${HierarchicalGrid.DefaultExtent}")
       if (size != implied) fail(s"size $size bytes, the header implies $implied")
 
       val src = new Mapped(ch, size)
@@ -198,7 +202,7 @@ object IndexFormat {
       InvertedIndex.segmentsProblem(cellSeg, segStart, segCol, cols, posts).foreach(p => fail(s"bad segments: $p"))
       InvertedIndex.boxesProblem(boxLo, boxHi, np, npv - np).foreach(p => fail(s"bad filter boxes: $p"))
 
-      val inverted = new InvertedIndex(np, levels, h.getDouble(40), dim, colIds, cellCoords,
+      val inverted = new InvertedIndex(np, levels, extent, dim, colIds, cellCoords,
         cellSeg, segCol, segStart, npv - np, boxLo, boxHi, mapped, vectors)
       new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
     } finally ch.close()

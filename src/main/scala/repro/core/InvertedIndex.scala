@@ -25,7 +25,7 @@ import repro.core.HierarchicalGrid.CellKey
   *
   * Each cell also keeps a box on each of its `numFilters` filter pivots,
   * the index's pivots beyond the grid's |P|: the least and greatest
-  * [[InvertedIndex.filterCode]] of its vectors' distances to that pivot,
+  * [[GridGeometry.code]] of its vectors' distances to that pivot,
   * `boxLo(c·numFilters + j)` and `boxHi(c·numFilters + j)` for cell c and
   * filter pivot j. Lemma 1 on those pivots drops a cell whose box misses
   * the query's code range, without adding grid dimensions.
@@ -55,11 +55,8 @@ final class InvertedIndex private[core] (
     val vectors: Array[Double],
 ) {
 
-  /** Leaf cells per pivot, and their edge length. */
-  val side: Int = 1 << levels
-  val width: Double = extent / side
-  /** Width of a filter pivot's code. */
-  val filterWidth: Double = extent / InvertedIndex.FilterSide
+  /** Width of a code, on every pivot: a leaf spans `2^(16 − levels)` codes. */
+  val codeWidth: Double = GridGeometry.codeWidth(extent)
 
   def numCells: Int = cellSeg.length - 1
   def numColumns: Int = colIds.length
@@ -80,22 +77,6 @@ final class InvertedIndex private[core] (
 }
 
 object InvertedIndex {
-
-  /** Codes per filter pivot: a code fits a `Char`. */
-  val FilterSide: Int = 1 << 16
-
-  /** The code of a distance `d` in `[0, extent]` on a filter pivot with
-    * codes of width `w = extent / FilterSide`: the greatest c with
-    * `c·w <= d`, so that `c·w <= d <= (c+1)·w` holds as computed doubles,
-    * the bounds Lemma 3 tests a box with. `d / w` is only a first guess:
-    * `c·w` rounds.
-    */
-  private[core] def filterCode(d: Double, w: Double): Int = {
-    var c = math.min(FilterSide - 1, math.max(0, (d / w).toInt))
-    while (c > 0 && c * w > d) c -= 1
-    while (c < FilterSide - 1 && (c + 1) * w <= d) c += 1
-    c
-  }
 
   /** Build from the repository vectors in input order.
     *
@@ -121,7 +102,7 @@ object InvertedIndex {
     val np = grid.numDims
     val nf = if (n == 0) 0 else mapped(0).length - np
     val dim = if (n == 0) 0 else vecs(0).length
-    val filterWidth = grid.extent / FilterSide
+    val codeWidth = GridGeometry.codeWidth(grid.extent)
     require(grid.numLeaves == 0, "the grid to build an index in must be empty")
 
     // a counting sort by column, then into the grid in that order
@@ -153,7 +134,7 @@ object InvertedIndex {
         if (first || col(e) != col(order(p - 1))) { segCol(numSegs) = col(e); segStart(numSegs) = p; numSegs += 1 }
         var j = 0
         while (j < nf) {
-          val code = filterCode(mapped(e)(np + j), filterWidth).toChar
+          val code = GridGeometry.code(mapped(e)(np + j), codeWidth).toChar
           val b = c * nf + j
           if (first || code < boxLo(b)) boxLo(b) = code
           if (first || code > boxHi(b)) boxHi(b) = code

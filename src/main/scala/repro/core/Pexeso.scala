@@ -152,7 +152,6 @@ object PexesoIndex {
       columns: Seq[ColumnVectors],
       numPivots: Int,
       levels: Int,
-      extent: Double = HierarchicalGrid.DefaultExtent,
   ): PexesoIndex = {
     require(columns.nonEmpty, "empty repository")
     val t0 = System.nanoTime()
@@ -169,7 +168,7 @@ object PexesoIndex {
 
     val colIds = sortedColumnIds(columns)
     // a lake of fewer than numPivots vectors yields fewer pivots
-    val grid = new HierarchicalGrid(math.min(numPivots, pivots.numPivots), levels, extent)
+    val grid = new HierarchicalGrid(math.min(numPivots, pivots.numPivots), levels)
     val col = new Array[Int](all.length)
     val mapped = new Array[Array[Double]](all.length)
     var p = 0
@@ -177,7 +176,7 @@ object PexesoIndex {
       val k = java.util.Arrays.binarySearch(colIds, c.colId)
       c.vectors.foreach { v =>
         val m = pivots.map(v)
-        checkMapped(m, extent, "repository vector")
+        checkMapped(m, grid.extent, "repository vector")
         mapped(p) = m
         col(p) = k
         p += 1

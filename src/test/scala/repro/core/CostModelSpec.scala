@@ -78,6 +78,24 @@ class CostModelSpec extends AnyFunSuite {
     assert(math.abs(m - best) <= 2, s"optimalM=$m bestDiscrete=$best")
   }
 
+  test("distinct cells are the distinct coordsAt keys of each level") {
+    val (cm, pivots, vs, _) = model(8, n = 300)
+    val grid = new HierarchicalGrid(3, 16)
+    val w = grid.extent / 64
+    // the sample, and values one ulp below the level-6 grid lines
+    val mapped = vs.map(pivots.map).toArray ++
+      (0 until 64).map(c => Array.fill(3)(math.max(0.0, math.nextDown(c * w))))
+    for (l <- 1 to 16) {
+      val wl = grid.extent / (1 << l)
+      val keys = mapped.map { v =>
+        val key = grid.coordsAt(v, l)
+        assert(key.indices.forall(i => key(i) * wl <= v(i) && v(i) <= (key(i) + 1) * wl), s"level $l: ${v.mkString(", ")}")
+        key.toSeq
+      }.distinct
+      assert(cm.distinctCells(mapped, l) == keys.length, s"level $l")
+    }
+  }
+
   test("empty sample rejected") {
     intercept[IllegalArgumentException] { new CostModel(Array.empty, 2) }
   }

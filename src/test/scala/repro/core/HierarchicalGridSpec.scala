@@ -6,11 +6,13 @@ import scala.util.Random
 
 class HierarchicalGridSpec extends AnyFunSuite {
 
-  test("widthAt halves per level") {
+  test("a level-l coordinate is the code's top l bits") {
     val g = new HierarchicalGrid(2, 3, extent = 2.0)
-    assert(g.widthAt(1) === 1.0)
-    assert(g.widthAt(2) === 0.5)
-    assert(g.widthAt(3) === 0.25)
+    val w = GridGeometry.codeWidth(2.0)
+    val v = Array(0.7, 1.3)
+    val codes = v.map(GridGeometry.code(_, w))
+    (1 to 16).foreach(l => assert(g.coordsAt(v, l).toSeq == codes.toSeq.map(_ >> (16 - l)), s"level $l"))
+    assert(g.coordsAt(v, 3).toSeq == Seq(2, 5))
   }
 
   test("coordsAt places a point in the right cell") {
@@ -62,15 +64,26 @@ class HierarchicalGridSpec extends AnyFunSuite {
   }
 
   test("node box bounds contain the inserted vector") {
+    // exactly, as computed doubles: also one ulp below a grid line, where
+    // dividing by the cell width rounds up into the next leaf (0.6250003125
+    // at m = 6 is one such value)
     val rng = new Random(1)
-    val g = new HierarchicalGrid(3, 4)
-    (1 to 200).foreach { i =>
-      val v = Array.fill(3)(rng.nextDouble() * 2.0)
-      g.insert(v, i)
-      val key = ArraySeq.unsafeWrapArray(g.coordsAt(v, g.levels))
-      assert(g.leaf(key).exists(_.payloads.contains(i)))
-      (0 until 3).foreach { d =>
-        assert(key(d) * g.width <= v(d) + 1e-12 && v(d) <= (key(d) + 1) * g.width + 1e-12)
+    for (levels <- Seq(4, 6, 16)) {
+      val g = new HierarchicalGrid(3, levels)
+      val w = g.extent / (1 << levels)
+      def value(): Double = rng.nextInt(3) match {
+        case 0 => rng.nextDouble() * 2.0
+        case 1 => math.max(0.0, math.nextDown(rng.nextInt(1 << levels) * w))
+        case _ => rng.nextInt(1 << levels) * w
+      }
+      (1 to 300).foreach { i =>
+        val v = if (i == 1) Array(0.6250003125, 0.1250003125, 2.0) else Array.fill(3)(value())
+        g.insert(v, i)
+        val key = ArraySeq.unsafeWrapArray(g.coordsAt(v, g.levels))
+        assert(g.leaf(key).exists(_.payloads.contains(i)))
+        (0 until 3).foreach { d =>
+          assert(key(d) * w <= v(d) && v(d) <= (key(d) + 1) * w, s"m=$levels: ${v(d)} is outside leaf ${key(d)}")
+        }
       }
     }
   }
@@ -105,16 +118,21 @@ class HierarchicalGridSpec extends AnyFunSuite {
   }
 
   test("inner-level boxes nest exactly on the leaf boxes") {
+    // the level-l cell of a vector is its leaf shifted, and the level-l box
+    // edges are the edges of the codes the cell spans
     val rng = new Random(4)
-    for (m <- Seq(1, 2, 6, 17, 30); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
+    for (m <- Seq(1, 2, 6, 16); extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
       val g = new HierarchicalGrid(1, m, extent)
+      val wv = GridGeometry.codeWidth(extent)
       (1 to 200).foreach { _ =>
-        val c = rng.nextInt(1 << m)
-        (1 until m).foreach { l =>
-          val k = m - l
-          val inner = c >> k
-          assert(inner * g.widthAt(l) == ((inner << k) * g.width), s"lo m=$m l=$l c=$c")
-          assert((inner + 1) * g.widthAt(l) == (((inner + 1) << k) * g.width), s"hi m=$m l=$l c=$c")
+        val x = Array(rng.nextDouble() * extent)
+        val c = g.coordsAt(x, m)(0)
+        (1 to m).foreach { l =>
+          val inner = c >> (m - l)
+          val wl = extent / (1 << l)
+          assert(g.coordsAt(x, l)(0) == inner, s"m=$m l=$l x=${x(0)}")
+          assert(inner * wl == ((inner << (16 - l)) * wv), s"lo m=$m l=$l c=$c")
+          assert((inner + 1) * wl == (((inner + 1) << (16 - l)) * wv), s"hi m=$m l=$l c=$c")
         }
       }
     }
@@ -130,6 +148,7 @@ class HierarchicalGridSpec extends AnyFunSuite {
   test("bad shapes rejected") {
     intercept[IllegalArgumentException] { new HierarchicalGrid(0, 2) }
     intercept[IllegalArgumentException] { new HierarchicalGrid(2, 0) }
+    intercept[IllegalArgumentException] { new HierarchicalGrid(2, 17) }
     intercept[IllegalArgumentException] { new HierarchicalGrid(2, 31) }
     intercept[IllegalArgumentException] { new HierarchicalGrid(2, 2, extent = 0.0) }
     intercept[IllegalArgumentException] { new HierarchicalGrid(2, 2, extent = Double.NaN) }

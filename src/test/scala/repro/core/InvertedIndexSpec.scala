@@ -10,7 +10,7 @@ class InvertedIndexSpec extends AnyFunSuite {
     for (trial <- 1 to 200) {
       val np = 1 + rng.nextInt(4)
       val nf = rng.nextInt(3)
-      val levels = 1 + rng.nextInt(if (trial % 10 == 0) 30 else 4)
+      val levels = 1 + rng.nextInt(if (trial % 10 == 0) 16 else 4)
       val numCols = 1 + rng.nextInt(5)
       val n = 1 + rng.nextInt(60)
       // few distinct values, so leaves and (leaf, column) runs repeat
@@ -35,7 +35,7 @@ class InvertedIndexSpec extends AnyFunSuite {
       keys.indices.foreach { c =>
         val members = (0 until n).filter(p => leafOf(p) == keys(c))
         (0 until nf).foreach { j =>
-          val codes = members.map(p => InvertedIndex.filterCode(mapped(p)(np + j), index.filterWidth))
+          val codes = members.map(p => GridGeometry.code(mapped(p)(np + j), index.codeWidth))
           assert(index.boxLo(c * nf + j).toInt == codes.min && index.boxHi(c * nf + j).toInt == codes.max, what)
         }
         assert(index.leaf(index.key(c)).contains(c) && index.find(index.key(c).toArray, 0) == c, what)
@@ -51,23 +51,46 @@ class InvertedIndexSpec extends AnyFunSuite {
       InvertedIndex.build(grid, Array(0), Array(0), Array(Array(0.5)), Array(Array(1.0))))
   }
 
+  test("every posting's leaf coordinates bracket its pivot image") {
+    // also one ulp below a grid line, where dividing by the cell width
+    // rounds up into the next leaf
+    val rng = new Random(6)
+    for (levels <- Seq(1, 4, 6, 16); np <- Seq(1, 3)) {
+      val w = HierarchicalGrid.DefaultExtent / (1 << levels)
+      def value(): Double = rng.nextInt(3) match {
+        case 0 => rng.nextDouble() * 2.0
+        case 1 => math.max(0.0, math.nextDown(rng.nextInt(1 << levels) * w))
+        case _ => rng.nextInt(1 << levels) * w
+      }
+      val mapped = Array.fill(300)(Array.fill(np)(value())) :+ Array.fill(np)(0.6250003125)
+      val n = mapped.length
+      val index = InvertedIndex.build(new HierarchicalGrid(np, levels), Array(0), new Array[Int](n), mapped,
+        Array.fill(n)(Array(0.0)))
+      for (c <- 0 until index.numCells; p <- index.segStart(index.cellSeg(c)) until index.segStart(index.cellSeg(c + 1));
+           i <- 0 until np) {
+        val (k, x) = (index.key(c)(i), index.mapped(p * np + i))
+        assert(k * w <= x && x <= (k + 1) * w, s"m=$levels |P|=$np: $x is outside leaf $k")
+      }
+    }
+  }
+
   test("a filter code brackets its distance as computed doubles, the extent taking the last code") {
     val rng = new Random(5)
     for (extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
-      val w = extent / InvertedIndex.FilterSide
-      assert(InvertedIndex.filterCode(extent, w) == InvertedIndex.FilterSide - 1)
-      assert(InvertedIndex.filterCode(0.0, w) == 0)
+      val w = GridGeometry.codeWidth(extent)
+      assert(GridGeometry.code(extent, w) == GridGeometry.Codes - 1)
+      assert(GridGeometry.code(0.0, w) == 0)
       (1 to 2000).foreach { t =>
-        val onLine = rng.nextInt(InvertedIndex.FilterSide + 1) * w
+        val onLine = rng.nextInt(GridGeometry.Codes + 1) * w
         val d = math.min(extent, t % 4 match {
           case 0 => onLine
           case 1 => math.nextUp(onLine)
           case 2 => math.max(0.0, math.nextDown(onLine))
           case _ => rng.nextDouble() * extent
         })
-        val c = InvertedIndex.filterCode(d, w)
-        assert(c >= 0 && c < InvertedIndex.FilterSide && c * w <= d && d <= (c + 1) * w, s"d=$d c=$c extent=$extent")
-        assert(c == InvertedIndex.FilterSide - 1 || (c + 1) * w > d, s"d=$d: code $c is not the greatest")
+        val c = GridGeometry.code(d, w)
+        assert(c >= 0 && c < GridGeometry.Codes && c * w <= d && d <= (c + 1) * w, s"d=$d c=$c extent=$extent")
+        assert(c == GridGeometry.Codes - 1 || (c + 1) * w > d, s"d=$d: code $c is not the greatest")
       }
     }
   }

@@ -31,7 +31,6 @@ class PexesoInputSpec extends AnyFunSuite {
   test("build rejects a pivot distance beyond the grid extent") {
     // norm 5: its distance to any unit-vector pivot exceeds 2
     rejected(PexesoIndex.build(withVector(query(0).map(_ * 5)), 3, 3))
-    rejected(PexesoIndex.build(cols, 3, 3, extent = 0.5))
   }
 
   test("search rejects an empty query") {
@@ -64,13 +63,12 @@ class PexesoInputSpec extends AnyFunSuite {
     assert(e.getMessage.contains("column id 7"), e.getMessage)
   }
 
-  test("build rejects more than 30 grid levels") {
-    // at m = 31 a cell width divides by a negative `1 << m`, and the cell
-    // lemmas then report false matches
+  test("build accepts 16 grid levels and rejects more") {
+    // a leaf coordinate is a prefix of a 16-bit code
     val want = NaiveSearch.search(cols, query, 0.3, 0.3).joinable
     assert(want.nonEmpty && want.size < cols.size)
-    assert(PexesoIndex.build(cols, 2, 30).search(query, 0.3, 0.3).joinable == want)
-    for (m <- Seq(31, 32, 33)) rejected(PexesoIndex.build(cols, 2, m))
+    assert(PexesoIndex.build(cols, 2, 16).search(query, 0.3, 0.3).joinable == want)
+    for (m <- Seq(17, 31)) rejected(PexesoIndex.build(cols, 2, m))
   }
 
   test("search rejects a tau that is NaN or negative and a T outside (0, 1]") {

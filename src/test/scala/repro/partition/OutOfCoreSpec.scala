@@ -174,6 +174,11 @@ class OutOfCoreSpec extends AnyFunSuite {
     assert(msg.contains("unsupported format version 2"), msg)
   }
 
+  test("load rejects a version-3 file, whose leaf coordinates came from a division, even with a valid checksum") {
+    val (_, msg) = loadFailure(110)(b => withChecksum(withInt(b, 4, _ => 3)))
+    assert(msg.contains("unsupported format version 3"), msg)
+  }
+
   /** `bytes` with the trailing checksum recomputed. */
   private def withChecksum(bytes: Array[Byte]): Array[Byte] = {
     val crc = new CRC32C
@@ -184,6 +189,23 @@ class OutOfCoreSpec extends AnyFunSuite {
   test("load rejects a header of more than 30 levels, even with a valid checksum") {
     val (_, msg) = loadFailure(101)(b => withChecksum(withInt(b, 16, _ => 31)))
     assert(msg.contains("invalid header counts") && msg.contains("m=31"), msg)
+  }
+
+  test("load rejects a header of 17 levels, even with a valid checksum") {
+    // a leaf coordinate is a prefix of a 16-bit code
+    val (_, msg) = loadFailure(111)(b => withChecksum(withInt(b, 16, _ => 17)))
+    assert(msg.contains("invalid header counts") && msg.contains("m=17"), msg)
+  }
+
+  test("load rejects an extent other than the default, even with a valid checksum") {
+    // the boxes of another extent would not hold their vectors
+    for ((extent, seed) <- Seq(Double.PositiveInfinity, 4.0, Double.NaN).zip(112 to 114)) {
+      val (_, msg) = loadFailure(seed) { b =>
+        ByteBuffer.wrap(b).order(ByteOrder.LITTLE_ENDIAN).putDouble(40, extent)
+        withChecksum(b)
+      }
+      assert(msg.contains(s"extent $extent"), msg)
+    }
   }
 
   /** Byte offset of int `i` of `cellCoords` in an index file, and its
