@@ -19,17 +19,9 @@ class TableVIIBench extends AnyFunSuite {
   }
 
   test("Table VII: efficiency grids and distance-computation mechanism") {
-    val open = TableVII.runInMemory("OPEN", BenchConfig.openMini,
-      BenchConfig.OpenPivots, BenchConfig.OpenLevels)
-    val swdc = TableVII.runInMemory("SWDC", BenchConfig.swdcMini,
-      BenchConfig.SwdcPivots, BenchConfig.SwdcLevels)
-    val lwdc = TableVII.runOutOfCore(BenchConfig.lwdcMini)
-    val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
-    val out = Fmt.table(header, open ++ swdc ++ lwdc) + "\n\n" +
-      TableVII.distanceFooters.mkString("\n")
-    Fmt.publish("tableVII", out)
+    val (all, footers) = TableVII.measure()
+    Fmt.publish("tableVII", TableVII.format(all, footers))
 
-    val all = open ++ swdc ++ lwdc
     // PEXESO (col 6) beats CTREE (col 3) on every grid cell of every corpus
     for (ds <- Seq("OPEN", "SWDC", "LWDC(ooc)"); t <- Seq("20%", "40%", "60%", "80%");
          tau <- Seq("2%", "4%", "6%", "8%")) {
@@ -52,7 +44,7 @@ class TableVIIBench extends AnyFunSuite {
         s"search time must grow with tau on $ds")
     }
     // the mechanism (paper Fig. 7a): PEXESO computes fewer exact distances
-    TableVII.distanceFooters.foreach { line =>
+    footers.foreach { line =>
       val nums = "(CTREE|EPT|PEXESO-H|PEXESO)=(\\d+)".r
         .findAllMatchIn(line).map(m => m.group(1) -> m.group(2).toLong).toMap
       assert(nums("PEXESO") < nums("CTREE"), line)

@@ -26,12 +26,15 @@ object PivotTable {
 
   final case class Entry(colId: Int, vector: Array[Double], pivotDists: Array[Double])
 
-  def build(columns: Seq[ColumnVectors], numPivots: Int, seed: Long = 11L): PivotTable = {
+  /** Picks the farthest-first start: vector `Seed % |S_V|`. */
+  private val Seed = 11L
+
+  def build(columns: Seq[ColumnVectors], numPivots: Int): PivotTable = {
     val all = columns.iterator.flatMap(c => c.vectors.iterator.map(v => (c.colId, v))).toArray
     require(all.nonEmpty, "empty repository")
 
     // farthest-first pivot selection from a deterministic start
-    val pivots = mutable.ArrayBuffer[Array[Double]](all(math.abs(seed % all.length).toInt)._2)
+    val pivots = mutable.ArrayBuffer[Array[Double]](all(math.abs(Seed % all.length).toInt)._2)
     while (pivots.length < numPivots && pivots.length < all.length) {
       var best: Array[Double] = null
       var bestD = -1.0

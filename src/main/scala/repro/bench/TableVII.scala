@@ -39,8 +39,9 @@ object TableVII {
     }.toMap
   }
 
-  def runInMemory(name: String, spec: LakeGen.LakeSpec,
-                  numPivots: Int, levels: Int): Seq[Seq[String]] = {
+  /** The grid rows of an in-memory corpus, and its distance footer. */
+  private def runInMemory(name: String, spec: LakeGen.LakeSpec,
+                          numPivots: Int, levels: Int): (Seq[Seq[String]], String) = {
     val lake = LakeGen.generate(spec)
     val (queries, rest) = LakeGen.splitQueries(lake, BenchConfig.NumQueries, seed = 33L)
     val embedder = new HashingEmbedder(spec.dim)
@@ -80,12 +81,9 @@ object TableVII {
     val eptD = embQs.map(q => PivotTable.search(ept, q, tau, t).distanceComputations).sum
     val hD = embQs.map(q => index.search(q, tau, t, VerifyMode.PexesoH).distanceComputations).sum
     val pD = embQs.map(q => index.search(q, tau, t, VerifyMode.Pexeso).distanceComputations).sum
-    distanceFooters += s"$name distance computations (tau=6%, T=60%): " +
-      s"CTREE=$ctreeD EPT=$eptD PEXESO-H=$hD PEXESO=$pD"
-    rows
+    (rows, s"$name distance computations (tau=6%, T=60%): " +
+      s"CTREE=$ctreeD EPT=$eptD PEXESO-H=$hD PEXESO=$pD")
   }
-
-  val distanceFooters: scala.collection.mutable.ArrayBuffer[String] = scala.collection.mutable.ArrayBuffer.empty
 
   private def spillObj(obj: AnyRef, path: java.nio.file.Path): Unit = {
     val oos = new java.io.ObjectOutputStream(
@@ -99,7 +97,7 @@ object TableVII {
     try ois.readObject().asInstanceOf[A] finally ois.close()
   }
 
-  def runOutOfCore(spec: LakeGen.LakeSpec): Seq[Seq[String]] = {
+  private def runOutOfCore(spec: LakeGen.LakeSpec): Seq[Seq[String]] = {
     val lake = LakeGen.generate(spec)
     val (queries, rest) = LakeGen.splitQueries(lake, BenchConfig.NumQueries, seed = 44L)
     val embedder = new HashingEmbedder(spec.dim)
@@ -155,17 +153,29 @@ object TableVII {
     rows
   }
 
-  def run(): String = {
-    val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
-    val open = runInMemory("OPEN", BenchConfig.openMini,
+  /** The grid rows of every corpus (columns as in [[format]]'s header),
+    * and the distance footers of the in-memory ones.
+    */
+  def measure(): (Seq[Seq[String]], Seq[String]) = {
+    val (open, openD) = runInMemory("OPEN", BenchConfig.openMini,
       BenchConfig.OpenPivots, BenchConfig.OpenLevels)
-    val swdc = runInMemory("SWDC", BenchConfig.swdcMini,
+    val (swdc, swdcD) = runInMemory("SWDC", BenchConfig.swdcMini,
       BenchConfig.SwdcPivots, BenchConfig.SwdcLevels)
     val lwdc = runOutOfCore(BenchConfig.lwdcMini)
-    val base = Fmt.table(header, open ++ swdc ++ lwdc)
-    base + "\n\n" + distanceFooters.mkString("\n") +
+    (open ++ swdc ++ lwdc, Seq(openD, swdcD))
+  }
+
+  /** The table of [[measure]]'s rows and footers, with the paper's times. */
+  def format(rows: Seq[Seq[String]], footers: Seq[String]): String = {
+    val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
+    Fmt.table(header, rows) + "\n\n" + footers.mkString("\n") +
       "\n\npaper reference (seconds, 100 queries, their hardware): OPEN PEXESO 32.5-68.1, " +
       "PEXESO-H 66.7-279, CTREE 656-934, EPT 704-973; SWDC PEXESO 9.8-13.6, PEXESO-H 130-157, " +
       "CTREE 567-831, EPT 577-829; LWDC PEXESO 456-635, PEXESO-H 3567->7200, CTREE/EPT >7200"
+  }
+
+  def run(): String = {
+    val (rows, footers) = measure()
+    format(rows, footers)
   }
 }

@@ -102,14 +102,13 @@ final class CostModel(mappedSample: Array[Array[Double]], val numPivots: Int) ex
   def optimalM(
       workload: Seq[(Array[Array[Double]], Double)],
       mMax: Int = 10,
-      steps: Int = 60,
       origDim: Int = 100,
   ): (Int, Double) = {
     var m = mMax / 2.0
     var lr = 0.5
     val eps = 0.05
     var i = 0
-    while (i < steps) {
+    while (i < CostModel.DescentSteps) {
       val g = (expectedCost(workload, m + eps, origDim) -
         expectedCost(workload, m - eps, origDim)) / (2 * eps)
       // normalized step: only the gradient sign and a decaying rate matter here
@@ -126,6 +125,9 @@ final class CostModel(mappedSample: Array[Array[Double]], val numPivots: Int) ex
 }
 
 object CostModel {
+  /** Gradient-descent steps of [[CostModel.optimalM]]. */
+  private val DescentSteps = 60
+
   /** Build from an index-free sample: select pivots, map the sample. */
   def fromVectors(
       sample: IndexedSeq[Array[Double]],

@@ -42,8 +42,9 @@ object GridGeometry {
     c
   }
 
-  private def above(c: Int, w: Double, y: Double): Boolean = c * w > y
-  private def below(c: Int, w: Double, x: Double): Boolean = (c + 1) * w < x
+  // Lemma 1's `|q' − x'| > τ` on the nearest edge of code c's box
+  private def above(c: Int, w: Double, q: Double, tau: Double): Boolean = c * w - q > tau
+  private def below(c: Int, w: Double, q: Double, tau: Double): Boolean = q - (c + 1) * w > tau
 
   /** Lemma 5 (vector–cell matching) on the leaf `cell(off until off + np)`
     * of `2^shift` codes of width `w` per pivot: some pivot i has the whole
@@ -64,10 +65,14 @@ object GridGeometry {
   /** Lemma 3 (vector–cell filtering) as code ranges, on the first `n`
     * pivots with codes of width `w`: the codes whose box `[c·w, (c+1)·w]`
     * meets `[q' − τ, q' + τ]` on pivot i are those with
-    * `lo(i) <= c <= hi(i)`. `above` and `below` are monotone in c, so
-    * stepping from a guess by division until the same expressions flip
-    * finds the range edges exactly, in a step or two. Returns whether
-    * every range is non-empty.
+    * `lo(i) <= c <= hi(i)`. The box is tested with Lemma 1's own
+    * expression, `c·w − q' > τ` above q' and `q' − (c+1)·w > τ` below:
+    * rounding is monotone, so a code holding an x' with `|q' − x'| <= τ`
+    * as computed doubles is never dropped (testing `c·w > q' + τ` instead
+    * rounds `q' + τ` first and can drop it). Both are monotone in c, so
+    * stepping from a guess by division until they flip finds the range
+    * edges exactly, in a step or two. Returns whether every range is
+    * non-empty.
     *
     * A leaf's box is the union of its codes' boxes, so Lemma 3 keeps the
     * leaves at level m with coordinates `lo(i) >> s` to `hi(i) >> s`: an
@@ -77,17 +82,16 @@ object GridGeometry {
     var nonEmpty = true
     var i = 0
     while (i < n) {
-      val x = qm(i) - tau
-      val y = qm(i) + tau
-      // lo: the least c in [0, Codes] that is not below x
-      var a = math.min(Codes.toDouble, math.max(0.0, math.ceil(x / w) - 1)).toInt
-      while (a > 0 && !below(a - 1, w, x)) a -= 1
-      while (a < Codes && below(a, w, x)) a += 1
+      val q = qm(i)
+      // lo: the least c in [0, Codes] that is not below q'
+      var a = math.min(Codes.toDouble, math.max(0.0, math.ceil((q - tau) / w) - 1)).toInt
+      while (a > 0 && !below(a - 1, w, q, tau)) a -= 1
+      while (a < Codes && below(a, w, q, tau)) a += 1
       lo(i) = a
-      // hi: one before the least c in [0, Codes] that is above y
-      var b = math.min(Codes.toDouble, math.max(0.0, math.floor(y / w) + 1)).toInt
-      while (b > 0 && above(b - 1, w, y)) b -= 1
-      while (b < Codes && !above(b, w, y)) b += 1
+      // hi: one before the least c in [0, Codes] that is above q'
+      var b = math.min(Codes.toDouble, math.max(0.0, math.floor((q + tau) / w) + 1)).toInt
+      while (b > 0 && above(b - 1, w, q, tau)) b -= 1
+      while (b < Codes && !above(b, w, q, tau)) b += 1
       hi(i) = b - 1
       nonEmpty &&= lo(i) <= hi(i)
       i += 1

@@ -14,9 +14,9 @@ import repro.core.HierarchicalGrid.CellKey
   * Postings are sorted by (cell id, column); each run of one column's
   * postings inside one cell is a ''segment''. Segments give the DaaT
   * (document-at-a-time) order that lets verification process one column's
-  * candidates together and apply the early-termination rules (joinability
-  * reached, or Lemma 7 says the column can no longer reach `T`), and the
-  * distinct columns of a cell for Lemma 5 matches.
+  * candidates together and skip them whole (joinability reached, q already
+  * matched, or Lemma 7 from the column's match count), and the distinct
+  * columns of a cell for Lemma 5 matches.
   *
   * Columns are dense indices `0 until numColumns`, in ascending order of
   * their ids `colIds`. Posting p's pivot image is

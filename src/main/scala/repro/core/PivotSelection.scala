@@ -21,21 +21,19 @@ import repro.embed.VectorOps
   */
 object PivotSelection {
 
+  /** Power-iteration steps per principal component. */
+  private val Iterations = 20
+  /** Seed of the deterministic start vectors. */
+  private val Seed = 7L
+
   /** Select `k` pivots from `vectors` (or a sample thereof), each a
     * different member of the pool; fewer only if the pool is smaller.
     *
-    * @param vectors    candidate pool (pass a uniform sample for big lakes)
-    * @param k          number of pivots; beyond the original dim the picks
-    *                   go on farthest-first
-    * @param iterations power-iteration steps per principal component
-    * @param seed       deterministic start vectors
+    * @param vectors candidate pool (pass a uniform sample for big lakes)
+    * @param k       number of pivots; beyond the original dim the picks go
+    *                on farthest-first
     */
-  def pcaPivots(
-      vectors: IndexedSeq[Array[Double]],
-      k: Int,
-      iterations: Int = 20,
-      seed: Long = 7L,
-  ): PivotSet = {
+  def pcaPivots(vectors: IndexedSeq[Array[Double]], k: Int): PivotSet = {
     require(vectors.nonEmpty, "empty vector pool")
     require(k >= 1, "need k >= 1")
     val dim = vectors.head.length
@@ -75,7 +73,7 @@ object PivotSelection {
     for (i <- 0 until dim; j <- 0 until i) cov(i * dim + j) = cov(j * dim + i)
 
     val comps = new scala.collection.mutable.ArrayBuffer[Array[Double]]
-    var rngState = seed
+    var rngState = Seed
     while (comps.length < math.min(k, dim)) {
       // deterministic pseudo-random start vector
       var v = Array.fill(dim) {
@@ -84,7 +82,7 @@ object PivotSelection {
       }
       v = VectorOps.normalize(v)
       var it = 0
-      while (it < iterations) {
+      while (it < Iterations) {
         // w = cov · v
         val w = new Array[Double](dim)
         var i = 0

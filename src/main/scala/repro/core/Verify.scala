@@ -2,21 +2,23 @@ package repro.core
 
 /** Verification (paper Algorithm 2).
   *
-  * Consumes the blocking output and the inverted index, maintains the
-  * match map (distinct matched query vectors per column — a set, since
-  * joinability counts distinct `q ∈ Q_M`) and prunes with:
+  * Walks the query vectors in id order. For each q it first credits the
+  * columns of q's matching cells (Lemma 5), then tests the postings of
+  * q's candidate cells, with pivot filtering / matching (Lemmas 1–2)
+  * before any exact distance. Its per-search state is two arrays over
+  * dense columns: `count`, the distinct query vectors matched so far (the
+  * paper's match map; joinability counts distinct `q ∈ Q_M`), and `hitAt`,
+  * which marks the columns q has matched. A column's segment is skipped
   *
-  *   - per-vector pivot filtering / matching (Lemmas 1–2) before any exact
-  *     distance computation;
-  *   - early termination: a column whose match count reaches `T` is
-  *     joinable, the rest of its candidates are skipped;
-  *   - Lemma 7: a column that can no longer reach `T` even if all its
-  *     remaining candidate query vectors matched is abandoned.
+  *   - once its count reaches `T·|Q|` (early termination: it is joinable);
+  *   - once q has matched it;
+  *   - by Lemma 7, once `count + (|Q| − q) < T·|Q|`. The paper's mismatch map
+  *     is not kept: after the walk of q' ends, q' is a mismatch of every
+  *     column it did not match, so |mismatch| at q is `q − count`.
   *
-  * The candidate pairs are walked per query vector over the cells' column
-  * segments (DaaT: each column is a "document") so both terminations apply
-  * as early as possible. All per-search state lives in primitive arrays
-  * indexed by dense column.
+  * The candidate pairs are walked over the cells' column segments (DaaT:
+  * each column is a "document"), so both terminations apply as early as
+  * possible.
   */
 object Verify {
 
@@ -41,50 +43,6 @@ object Verify {
 
   final class Stats {
     var distanceComputations: Long = 0L
-  }
-
-  /** Per-search match state: one bit per (column, q) and a distinct match
-    * count per column.
-    */
-  private final class Matches(numCols: Int, numQ: Int, tAbs: Int) {
-    private val words = (numQ + 63) >>> 6
-    private val bits = new Array[Long](numCols * words)
-    val count = new Array[Int](numCols)
-
-    def has(col: Int, q: Int): Boolean =
-      (bits(col * words + (q >>> 6)) & (1L << q)) != 0
-
-    /** Record that q matches col. */
-    def add(col: Int, q: Int): Unit = {
-      val w = col * words + (q >>> 6)
-      val bit = 1L << q
-      if ((bits(w) & bit) == 0) { bits(w) |= bit; count(col) += 1 }
-    }
-
-    def joinable(col: Int): Boolean = count(col) >= tAbs
-
-    /** Ids of the joinable columns. */
-    def result(index: InvertedIndex): Set[Int] = {
-      val b = Set.newBuilder[Int]
-      var c = 0
-      while (c < numCols) { if (joinable(c)) b += index.colIds(c); c += 1 }
-      b.result()
-    }
-  }
-
-  /** Matching pairs: every vector in the cell matches q, so q is matched
-    * for every column present in the cell.
-    */
-  private def addMatching(block: BlockResult, index: InvertedIndex, m: Matches): Unit = {
-    val pairs = block.matchingPairs
-    var i = 0
-    while (i < pairs.size) {
-      val q = pairs.q(i)
-      val cell = pairs.cell(i)
-      var s = index.cellSeg(cell)
-      while (s < index.cellSeg(cell + 1)) { m.add(index.segCol(s), q); s += 1 }
-      i += 1
-    }
   }
 
   /** Whether `q` is within `t` (a [[sqThreshold]]) of posting `p`: the
@@ -120,43 +78,52 @@ object Verify {
     val stats = new Stats
     val numQ = queryMapped.length
     val numCols = index.numColumns
-    val m = new Matches(numCols, numQ, tAbs)
-    addMatching(block, index, m)
-
-    // DaaT verification as in the paper (Fig. 4): candidate pairs are
-    // walked per query vector, in q order over the run Block emitted for
-    // each; each cell's postings are sorted by column, so one pass over a
-    // cell processes its columns ("documents") consecutively. Mismatch
-    // counts feed Lemma 7: once |Q| − mismatches cannot reach T, the
-    // column's remaining postings are skipped.
-    // `seenAt` / `hitAt` hold q + 1 for the columns q touched / matched.
-    val mismatch = new Array[Int](numCols)
-    val seenAt = new Array[Int](numCols)
+    // count(col): the distinct query vectors that match col so far;
+    // hitAt(col) = q + 1 once q matches col
+    val count = new Array[Int](numCols)
     val hitAt = new Array[Int](numCols)
-    val seen = new Array[Int](numCols)
     // pivots tested per posting, and the count Lemma 7 asks a column to be
-    // able to reach; numQ − mismatches is never below 0, so PEXESO-H's 0 never fires
+    // able to reach; a count is never below 0, so PEXESO-H's 0 never fires
     val (np, reachable) = if (mode == VerifyMode.PexesoH) (0, 0) else (index.numPivots, tAbs)
     val mapped = index.mapped
     val vectors = index.vectors
     val t = sqThreshold(tau)
+    val matching = block.matchingPairs
     val pairs = block.candidatePairs
+
+    // DaaT verification as in the paper (Fig. 4), one query vector at a
+    // time in id order, over the runs Block emitted for it; each cell's
+    // postings are sorted by column, so one pass over a cell processes its
+    // columns ("documents") consecutively.
     var q = 0
     while (q < numQ) {
       val stamp = q + 1
+      // Lemma 5: every vector of a matching cell matches q, so q matches
+      // each column in the cell, once however many cells hold it
+      var mi = matching.runStart(q)
+      while (mi < matching.runEnd(q)) {
+        val cell = matching.cell(mi)
+        var s = index.cellSeg(cell)
+        while (s < index.cellSeg(cell + 1)) {
+          val col = index.segCol(s)
+          if (hitAt(col) != stamp) { hitAt(col) = stamp; count(col) += 1 }
+          s += 1
+        }
+        mi += 1
+      }
+      // Lemma 7: a column q has not matched counts only q' < q, and q and
+      // the query vectors after it add at most numQ − q
+      val left = numQ - q
       val qm = queryMapped(q)
       val qo = queryOriginal(q)
-      var numSeen = 0
       var ci = pairs.runStart(q)
       while (ci < pairs.runEnd(q)) {
         val cell = pairs.cell(ci)
         var s = index.cellSeg(cell)
         while (s < index.cellSeg(cell + 1)) {
           val col = index.segCol(s)
-          val skip = m.joinable(col) || hitAt(col) == stamp || m.has(col, q) ||
-            numQ - mismatch(col) < reachable // Lemma 7
+          val skip = count(col) >= tAbs || hitAt(col) == stamp || count(col) + left < reachable
           if (!skip) {
-            if (seenAt(col) != stamp) { seenAt(col) = stamp; seen(numSeen) = col; numSeen += 1 }
             var found = false
             var p = index.segStart(s)
             while (p < index.segStart(s + 1) && !found) {
@@ -180,22 +147,18 @@ object Verify {
               }
               p += 1
             }
-            if (found) { hitAt(col) = stamp; m.count(col) += 1 }
+            if (found) { hitAt(col) = stamp; count(col) += 1 }
           }
           s += 1
         }
         ci += 1
       }
-      // q matched nothing of a seen column in any of its cells => mismatch
-      var k = 0
-      while (k < numSeen) {
-        val col = seen(k)
-        if (hitAt(col) != stamp) mismatch(col) += 1
-        k += 1
-      }
       q += 1
     }
 
-    (m.result(index), stats)
+    val joinable = Set.newBuilder[Int]
+    var c = 0
+    while (c < numCols) { if (count(c) >= tAbs) joinable += index.colIds(c); c += 1 }
+    (joinable.result(), stats)
   }
 }

@@ -29,14 +29,9 @@ object ColumnHistogram {
   /** Normalized (sums to 1) concatenated histogram with Laplace smoothing
     * so KL divergence is finite everywhere.
     */
-  def signature(
-      col: ColumnVectors,
-      refs: Array[Array[Double]],
-      bins: Int,
-      maxDist: Double = VectorOps.MaxUnitDistance,
-  ): Array[Double] = {
+  def signature(col: ColumnVectors, refs: Array[Array[Double]], bins: Int): Array[Double] = {
     val h = new Array[Double](refs.length * bins)
-    val w = maxDist / bins
+    val w = VectorOps.MaxUnitDistance / bins
     var ri = 0
     while (ri < refs.length) {
       val ref = refs(ri)

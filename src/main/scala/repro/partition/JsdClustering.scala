@@ -16,19 +16,21 @@ import repro.core.ColumnVectors
   */
 object JsdClustering {
 
+  /** Reference points per histogram, and distance bins per reference point. */
+  private val Refs = 4
+  private val Bins = 16
+
   /** @return cluster assignment: column index (position in `columns`) → [0, k) */
   def cluster(
       columns: IndexedSeq[ColumnVectors],
       k: Int,
       iterations: Int = 5,
-      refs: Int = 4,
-      bins: Int = 16,
   ): Array[Int] = {
     require(k >= 1 && columns.nonEmpty, "need k >= 1 and a non-empty lake")
     if (k == 1) return Array.fill(columns.length)(0)
 
-    val refPoints = ColumnHistogram.referencePoints(columns, refs)
-    val sigs = columns.map(c => ColumnHistogram.signature(c, refPoints, bins)).toArray
+    val refPoints = ColumnHistogram.referencePoints(columns, Refs)
+    val sigs = columns.map(c => ColumnHistogram.signature(c, refPoints, Bins)).toArray
 
     val kk = math.min(k, columns.length)
     val step = math.max(1, columns.length / kk)

@@ -10,10 +10,12 @@ import repro.embed.VectorOps
   */
 object Partitioners {
 
+  private val Seed = 17L
+
   /** Deterministic pseudo-random assignment (hash of colId mod k). */
-  def random(columns: IndexedSeq[ColumnVectors], k: Int, seed: Long = 17L): Array[Int] =
+  def random(columns: IndexedSeq[ColumnVectors], k: Int): Array[Int] =
     columns.map { c =>
-      val h = repro.embed.HashingEmbedder.splitmix64(c.colId.toLong ^ seed)
+      val h = repro.embed.HashingEmbedder.splitmix64(c.colId.toLong ^ Seed)
       ((h % k + k) % k).toInt
     }.toArray
 

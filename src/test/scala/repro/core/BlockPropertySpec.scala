@@ -12,7 +12,8 @@ import scala.util.Random
   * query vector.
   *
   * The oracle: a leaf is dropped if, on some filter pivot, the box of its
-  * vectors' codes lies wholly above `q' + τ` or below `q' − τ`; otherwise,
+  * vectors' codes lies wholly more than τ above or below q', by Lemma 1's
+  * own expressions (`lo − q' > τ`, `q' − hi > τ`); otherwise,
   * with quick browsing, q's own leaf (the leaf of `HG_SV` with q's leaf
   * key) is a candidate; every other leaf is dropped if Lemma 3 filters it,
   * else matching if Lemma 5 matches it, else a candidate. The oracle finds
@@ -24,7 +25,7 @@ import scala.util.Random
   * and large enough that Lemma 5 fires.
   *
   * A second property checks Block against Lemma 1 itself: a lake vector
-  * in `[q' − τ, q' + τ]` on every pivot lies in a leaf that Block emits
+  * with `|q' − x'| <= τ` on every pivot lies in a leaf that Block emits
   * for q.
   */
 class BlockPropertySpec extends AnyFunSuite {
@@ -81,6 +82,23 @@ class BlockPropertySpec extends AnyFunSuite {
     for (qb <- Seq(true, false)) {
       val (hgS, res) = block(1, 6, HierarchicalGrid.DefaultExtent, lake, query, 0.5, qb)
       assert(lemma1Misses(hgS, res, lake, query, 0.5).isEmpty, s"quick browsing $qb")
+    }
+  }
+
+  test("Block keeps a code that holds an x' at exactly τ from q' by Lemma 1's expression") {
+    // |q' − x'| == τ, but q' − τ rounds above the top edge of x's code 1420,
+    // so testing the code box against q' − τ drops it: as a leaf at m = 16
+    // and as the top code of a filter box
+    val (x, q, tau) = (0.04336550019836425, 0.3125572277081925, 0.2691917275098282)
+    val w = GridGeometry.codeWidth(HierarchicalGrid.DefaultExtent)
+    assert(math.abs(q - x) == tau && GridGeometry.code(x, w) == 1420 && q - tau > 1421 * w)
+    for (qb <- Seq(true, false)) {
+      val (hgS, res) = block(1, 16, HierarchicalGrid.DefaultExtent, Array(Array(x)), Array(Array(q)), tau, qb)
+      assert(lemma1Misses(hgS, res, Array(Array(x)), Array(Array(q)), tau).isEmpty, s"leaf, quick browsing $qb")
+      val (lake, query) = (Array(Array(0.5, x)), Array(Array(0.5, q)))
+      val (hgF, resF) = block(1, 1, HierarchicalGrid.DefaultExtent, lake, query, tau, qb)
+      assert(hgF.numFilters == 1)
+      assert(lemma1Misses(hgF, resF, lake, query, tau).isEmpty, s"filter box, quick browsing $qb")
     }
   }
 }
@@ -142,9 +160,9 @@ object BlockPropertySpec {
         def hi(i: Int) = (key(i) + 1) * width
         val boxed = boxes.indices.exists { j =>
           val (a, b) = boxes(j)
-          a * wf > qm(np + j) + tau || (b + 1) * wf < qm(np + j) - tau
+          a * wf - qm(np + j) > tau || qm(np + j) - (b + 1) * wf > tau
         }
-        val lemma3 = (0 until np).exists(i => lo(i) > qm(i) + tau || hi(i) < qm(i) - tau)
+        val lemma3 = (0 until np).exists(i => lo(i) - qm(i) > tau || qm(i) - hi(i) > tau)
         val lemma5 = (0 until np).exists(i => tau - qm(i) >= 0 && hi(i) <= tau - qm(i))
         if (boxed) ()
         else if (quickBrowsing && key == leafOf(qm, hgS)) candidates += ((q, id))
@@ -155,8 +173,8 @@ object BlockPropertySpec {
   }
 
   /** The (q, lake vector) pairs that Lemma 1 keeps, whose vector's leaf
-    * Block does not emit for q. Lemma 1 is taken as Lemma 3 computes its
-    * bounds: `q' − τ <= x' <= q' + τ` on every pivot, as doubles.
+    * Block does not emit for q. Lemma 1 is taken as Verify computes it:
+    * `|q' − x'| <= τ` on every pivot, as doubles.
     */
   def lemma1Misses(hgS: InvertedIndex, res: BlockResult, lake: Array[Array[Double]],
                    query: Array[Array[Double]], tau: Double): Seq[(Int, Int)] = {
@@ -168,7 +186,7 @@ object BlockPropertySpec {
     for {
       q <- query.indices
       x <- lake.indices
-      if query(q).indices.forall(i => query(q)(i) - tau <= lake(x)(i) && lake(x)(i) <= query(q)(i) + tau)
+      if query(q).indices.forall(i => math.abs(query(q)(i) - lake(x)(i)) <= tau)
       if !emitted((q, cellOf(x)))
     } yield (q, x)
   }

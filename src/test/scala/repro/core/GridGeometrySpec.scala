@@ -122,7 +122,8 @@ class GridGeometrySpec extends AnyFunSuite {
   }
 
   test("the Lemma 3 ranges decide exactly what the box test decides") {
-    // the box of leaf c at level m is [c·W, (c+1)·W] with W = extent / 2^m
+    // the box of leaf c at level m is [c·W, (c+1)·W] with W = extent / 2^m,
+    // tested with Lemma 1's |q' − x'| > τ on its nearest edge
     val rng = new Random(7)
     for (levels <- Seq(1, 2, 3, 5, 8); extent <- Seq(2.0 + 1e-6, 1.0, 0.3)) {
       val (side, width) = (1 << levels, extent / (1 << levels))
@@ -146,7 +147,7 @@ class GridGeometrySpec extends AnyFunSuite {
         val nonEmpty = GridGeometry.lemma3Range(qm, 1, tau, GridGeometry.codeWidth(extent), lo, hi)
         assert(nonEmpty == (lo(0) <= hi(0)))
         (0 until side).foreach { c =>
-          val boxFiltered = c * width > qm(0) + tau || (c + 1) * width < qm(0) - tau
+          val boxFiltered = c * width - qm(0) > tau || qm(0) - (c + 1) * width > tau
           assert(((lo(0) >> s) <= c && c <= (hi(0) >> s)) == !boxFiltered,
             s"Lemma 3 range [${lo(0)}, ${hi(0)}] at c=$c q=${qm(0)} tau=$tau m=$levels")
         }
@@ -175,8 +176,7 @@ class GridGeometrySpec extends AnyFunSuite {
         }
         assert(GridGeometry.lemma3Range(qm, 2, tau, w, lo, hi))
         for (i <- 0 until 2) {
-          val (x, y) = (qm(i) - tau, qm(i) + tau)
-          def passes(c: Int) = !(c * w > y) && !((c + 1) * w < x)
+          def passes(c: Int) = !(c * w - qm(i) > tau) && !(qm(i) - (c + 1) * w > tau)
           val what = s"pivot $i range [${lo(i)}, ${hi(i)}] q=${qm(i)} tau=$tau"
           assert(0 <= lo(i) && lo(i) <= hi(i) && hi(i) < side, what)
           assert(passes(lo(i)) && passes(hi(i)), what)

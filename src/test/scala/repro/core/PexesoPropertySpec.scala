@@ -19,18 +19,23 @@ class PexesoPropertySpec extends AnyFunSuite {
   import PexesoPropertySpec.genCase
 
   test("PEXESO search equals NaiveSearch on random unit-vector lakes") {
+    // cases where Block emits matching pairs (τ = 2 gives them), so that
+    // Verify's Lemma 5 credits are checked too
+    var withMatching = 0
     val prop = Prop.forAllNoShrink(genCase) { c =>
       val (cols, query) = c.instance
-      val got = PexesoIndex.build(cols, c.numPivots, c.levels)
-        .search(query, c.tau, c.tFrac, c.mode, c.quickBrowsing).joinable
+      val res = PexesoIndex.build(cols, c.numPivots, c.levels)
+        .search(query, c.tau, c.tFrac, c.mode, c.quickBrowsing)
+      if (res.matchingPairs > 0) withMatching += 1
       val want = NaiveSearch.search(cols, query, c.tau, c.tFrac).joinable
-      Prop(got == want) :| s"$c: got $got, want $want"
+      Prop(res.joinable == want) :| s"$c: got ${res.joinable}, want $want"
     }
     val params = Test.Parameters.default
       .withMinSuccessfulTests(400)
       .withInitialSeed(Seed(20210419L))
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result, Pretty.Params(2)))
+    assert(withMatching >= 20, s"only $withMatching cases have matching pairs")
   }
 
   test("filter pivots: the grid's pivots first, max(|P|, 16) in all up to the lake size, exact in every mode") {
