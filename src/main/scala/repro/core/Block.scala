@@ -57,14 +57,13 @@ final class BlockResult(
   * exact range probe of the sorted leaves of `HG_SV`, the cells of the
   * inverted index, per query vector.
   *
-  * Lemma 3 gives q a code range on every pivot, in one
-  * [[GridGeometry.lemma3Range]] call. On the grid's |P| pivots the ranges
-  * shifted to the leaf level are leaf coordinate ranges: for each first
-  * coordinate in range, binary search bounds the run of leaves whose
-  * second coordinate is in range, and integer compares test the rest;
-  * Lemma 5 then decides matching or candidate. The paper's descent through
-  * the inner levels with Lemmas 4 and 6 would prune nothing more (see
-  * [[GridGeometry]]).
+  * One [[GridGeometry.bounds]] call gives q a Lemma 3 code range and a
+  * Lemma 5 code limit on every pivot; on the grid's |P| pivots, shifted to
+  * the leaf level, they bound leaf coordinates. For each first coordinate
+  * in range, binary search bounds the run of leaves whose second is in
+  * range, and integer compares test the rest and decide matching or
+  * candidate. The paper's descent through the inner levels with Lemmas 4
+  * and 6 would prune nothing more (see [[GridGeometry]]).
   *
   * Lemma 1 holds for any pivot, so the filter pivots beyond the grid's |P|
   * prune too: a leaf whose box (see [[InvertedIndex]]) misses q's code
@@ -109,15 +108,19 @@ object Block {
     val shift = GridGeometry.CodeBits - index.levels
     val cells = index.cellCoords
     val n = index.numCells
-    // q's code ranges on all pivots; the first np are then leaf ranges
+    // q's code bounds on all pivots; the first np are then leaf bounds
     val lo = new Array[Int](np + nf)
     val hi = new Array[Int](np + nf)
+    val lim = new Array[Int](np + nf)
     val boxLo = index.boxLo
     val boxHi = index.boxHi
 
-    def emit(q: Int, qm: Array[Double], r: Int): Unit =
-      if (GridGeometry.vectorCellMatched(cells, r * np, np, shift, w, qm, tau)) mp.add(q, r)
-      else cp.add(q, r)
+    // Lemma 5: leaf r matches q if it is below q's limit on some grid pivot
+    def emit(q: Int, r: Int): Unit = {
+      var i = 0
+      while (i < np && cells(r * np + i) >= lim(i)) i += 1
+      if (i < np) mp.add(q, r) else cp.add(q, r)
+    }
 
     // whether leaf r's box meets q's code range on every filter pivot
     def inBoxes(r: Int): Boolean = {
@@ -150,15 +153,14 @@ object Block {
     hgQ.leafCells.foreach { leaf =>
       val own = index.find(leaf.key.toArray, 0)
       leaf.payloads.foreach { q =>
-        val qm = queryMapped(q)
         mp.runStart(q) = mp.size; cp.runStart(q) = cp.size
-        val nonEmpty = GridGeometry.lemma3Range(qm, np + nf, tau, w, lo, hi)
+        val nonEmpty = GridGeometry.bounds(queryMapped(q), np + nf, tau, w, lo, hi, lim)
         var i = 0
-        while (i < np) { lo(i) >>= shift; hi(i) >>= shift; i += 1 }
+        while (i < np) { lo(i) >>= shift; hi(i) >>= shift; lim(i) >>= shift; i += 1 }
         if (nonEmpty) {
           if (own >= 0 && inBoxes(own)) {
             if (quickBrowsing) cp.add(q, own)
-            else if (inRange(own, 0)) emit(q, qm, own)
+            else if (inRange(own, 0)) emit(q, own)
           }
           val a1 = if (np > 1) lo(1) else 0
           val b1 = if (np > 1) hi(1) else 0
@@ -170,7 +172,7 @@ object Block {
               // the leaves from r with first coordinate c0 and second in range
               val end = if (np > 1) seek(r, c0, b1 + 1) else seek(r, c0 + 1, 0)
               while (r < end) {
-                if (inRange(r, 2) && r != own && inBoxes(r)) emit(q, qm, r)
+                if (inRange(r, 2) && r != own && inBoxes(r)) emit(q, r)
                 r += 1
               }
               r = seek(r, c0 + 1, a1)

@@ -1,7 +1,8 @@
 package repro.core
 
 /** The one quantizer of pivot distances, and Lemmas 3 and 5 (paper
-  * Section III-B) on it.
+  * Section III-B) on it: the bounds that every pivot test in search
+  * compares codes with.
   *
   * Each pivot axis `[0, extent]` is cut into `2^CodeBits` codes of width
   * `w`, and a distance's [[code]] brackets it as computed doubles. A leaf
@@ -10,11 +11,9 @@ package repro.core
   * `((c + 1) << s) − 1` with `s = CodeBits − m`, and its box
   * `[(c << s)·w, ((c + 1) << s)·w]` brackets its vectors. `2^s·w` is
   * exactly `extent / 2^m`, so these are the doubles `c·extent/2^m` too.
-  *
-  * The tests are conservative: "filter" only fires when no contained
-  * vector can match the query (soundness of pruning), "match" only fires
-  * when every contained vector must match (soundness of counting) — both
-  * follow from Lemmas 1–2 applied to box extremes.
+  * Lemmas 3 and 5 are Lemmas 1 and 2 on a box's extremes, so "filter"
+  * fires only when no vector in the box can match q, "match" only when
+  * every one must.
   *
   * Lemmas 4 and 6, the cell–cell forms, add nothing: since inner cells
   * nest exactly on leaves, a level-l cell that Lemma 4 filters (Lemma 6
@@ -46,39 +45,33 @@ object GridGeometry {
   private def above(c: Int, w: Double, q: Double, tau: Double): Boolean = c * w - q > tau
   private def below(c: Int, w: Double, q: Double, tau: Double): Boolean = q - (c + 1) * w > tau
 
-  /** Lemma 5 (vector–cell matching) on the leaf `cell(off until off + np)`
-    * of `2^shift` codes of width `w` per pivot: some pivot i has the whole
-    * leaf box inside the rectangle query region `RQR(q', p_i, τ) =
-    * [0, τ − q'[i]]`, so every vector in the leaf matches `q`.
-    */
-  def vectorCellMatched(cell: Array[Int], off: Int, np: Int, shift: Int, w: Double,
-                        qm: Array[Double], tau: Double): Boolean = {
-    var i = 0
-    while (i < np) {
-      val edge = tau - qm(i)
-      if (edge >= 0 && ((cell(off + i) + 1) << shift) * w <= edge) return true
-      i += 1
-    }
-    false
-  }
-
-  /** Lemma 3 (vector–cell filtering) as code ranges, on the first `n`
-    * pivots with codes of width `w`: the codes whose box `[c·w, (c+1)·w]`
-    * meets `[q' − τ, q' + τ]` on pivot i are those with
-    * `lo(i) <= c <= hi(i)`. The box is tested with Lemma 1's own
-    * expression, `c·w − q' > τ` above q' and `q' − (c+1)·w > τ` below:
-    * rounding is monotone, so a code holding an x' with `|q' − x'| <= τ`
-    * as computed doubles is never dropped (testing `c·w > q' + τ` instead
-    * rounds `q' + τ` first and can drop it). Both are monotone in c, so
-    * stepping from a guess by division until they flip finds the range
-    * edges exactly, in a step or two. Returns whether every range is
-    * non-empty.
+  /** Lemmas 3 and 5 (vector–cell filtering and matching) as code bounds of
+    * one query vector on the first `n` pivots, with codes of width `w`. On
+    * pivot i:
     *
-    * A leaf's box is the union of its codes' boxes, so Lemma 3 keeps the
-    * leaves at level m with coordinates `lo(i) >> s` to `hi(i) >> s`: an
-    * arithmetic shift, so that an empty range (`hi(i) = −1`) stays empty.
+    *   - Lemma 3 keeps the codes `lo(i)` to `hi(i)`, those whose box
+    *     `[c·w, (c+1)·w]` passes Lemma 1's own expression, `c·w − q' > τ`
+    *     above q' and `q' − (c+1)·w > τ` below. Rounding is monotone, so a
+    *     code holding an x' with `|q' − x'| <= τ` as computed doubles is
+    *     kept (`c·w > q' + τ` would round `q' + τ` first and can drop it).
+    *   - Lemma 5 matches the codes below `lim(i)`, the greatest k in
+    *     `[0, Codes]` with `k·w <= τ − q'` as computed doubles (−1 when
+    *     τ < q'): `k·w` rounds monotonically in k, so these are the codes
+    *     whose box lies in `RQR(q', p_i, τ) = [0, τ − q']`.
+    *
+    * Each test is monotone in c, so stepping from a division guess until
+    * it flips finds each bound exactly. Returns whether every Lemma 3 range
+    * is non-empty.
+    *
+    * A leaf is a run of `2^s` codes, `s = CodeBits − m`, so Block keeps the
+    * leaves `lo(i) >> s` to `hi(i) >> s` and matches leaf c when
+    * `c < lim(i) >> s` (arithmetic shifts, so −1 stays empty). A posting is
+    * a one-code cell, so Verify's Lemmas 1 and 2 are these same tests on
+    * its code: every pivot test of a search reads its bounds from here, and
+    * a slack for the rounding of computed distances would go here alone.
     */
-  def lemma3Range(qm: Array[Double], n: Int, tau: Double, w: Double, lo: Array[Int], hi: Array[Int]): Boolean = {
+  def bounds(qm: Array[Double], n: Int, tau: Double, w: Double,
+             lo: Array[Int], hi: Array[Int], lim: Array[Int]): Boolean = {
     var nonEmpty = true
     var i = 0
     while (i < n) {
@@ -94,8 +87,15 @@ object GridGeometry {
       while (b < Codes && !above(b, w, q, tau)) b += 1
       hi(i) = b - 1
       nonEmpty &&= lo(i) <= hi(i)
+      // lim: 0·w = 0 passes whenever τ − q' is not negative
+      val edge = tau - q
+      var k = if (edge < 0) -1 else math.min(Codes.toDouble, math.floor(edge / w)).toInt
+      while (k > 0 && k * w > edge) k -= 1
+      while (k < Codes && (k + 1) * w <= edge) k += 1
+      lim(i) = k
       i += 1
     }
     nonEmpty
   }
+
 }

@@ -25,15 +25,16 @@ import java.util.zip.CRC32C
   * (`|P_v|·dim` doubles, row-major, the grid's first), `colIds`,
   * `cellCoords`, `cellSeg`, `segCol`, `segStart` (ints), the leaves'
   * filter boxes `boxLo` and `boxHi` (`cells·(|P_v| − |P|)` 16-bit codes
-  * each), 0 or 4 bytes of padding to an 8-byte boundary, `mapped` and
-  * `vectors` (doubles). Last comes the CRC32C of everything before it,
-  * header included.
+  * each), the postings' `codes` (`postings·|P|` 16-bit codes), 0, 2, 4 or
+  * 6 bytes of padding to an 8-byte boundary, and `vectors` (doubles).
+  * Last comes the CRC32C of everything before it, header included.
   *
   * Since version 2 the leaf cells in `cellCoords` are sorted; version 3
   * adds the filter pivots and boxes; in version 4 a leaf coordinate is the
   * top m bits of its vectors' 16-bit codes (see [[HierarchicalGrid]]), so
-  * m is at most 16. A read checks, in order, the magic, the version, that
-  * the header counts are valid (m at most [[HierarchicalGrid.MaxLevels]],
+  * m is at most 16; version 5 keeps a posting's pivot distances as codes,
+  * not doubles. A read checks, in order, the magic, the version, that the
+  * header counts are valid (m at most [[HierarchicalGrid.MaxLevels]],
   * |P_v| at least |P|), that the extent is
   * [[HierarchicalGrid.DefaultExtent]], that the file size is the one the
   * header implies, the checksum, that the leaf coordinates are strictly
@@ -46,7 +47,7 @@ object IndexFormat {
 
   /** "PXSO" in file byte order. */
   val Magic: Int = 0x4f535850
-  val Version: Int = 4
+  val Version: Int = 5
   val HeaderBytes: Int = 56
 
   /** Arrays are copied and checksummed in slices of this many bytes, small
@@ -61,17 +62,18 @@ object IndexFormat {
         Seq(npv.toLong * dim, cells.toLong * np, cells.toLong * (npv - np), posts.toLong * np, posts.toLong * dim)
           .exists(_ > Int.MaxValue)) -1L
     else {
-      val words = wordCount(np, npv, cols, cells, segs)
-      HeaderBytes + 8L * npv * dim + 4L * words + padAfter(words) + 8L * posts * (np + dim) + 4L
+      val bytes = codedBytes(np, npv, cols, cells, segs, posts)
+      HeaderBytes + 8L * npv * dim + bytes + padAfter(bytes) + 8L * posts * dim + 4L
     }
 
-  /** 4-byte words between the pivots and the padding: the int arrays and
-    * the two box arrays of 2-byte codes.
+  /** Bytes between the pivots and the padding: the int arrays, then the
+    * 16-bit codes of the two box arrays and of the postings.
     */
-  private def wordCount(np: Int, npv: Int, cols: Int, cells: Int, segs: Int): Long =
-    cols.toLong + cells.toLong * np + (cells + 1L) + segs + (segs + 1L) + cells.toLong * (npv - np)
+  private def codedBytes(np: Int, npv: Int, cols: Int, cells: Int, segs: Int, posts: Int): Long =
+    4L * (cols.toLong + cells.toLong * np + (cells + 1L) + segs + (segs + 1L)) +
+      2L * (2L * cells * (npv - np) + posts.toLong * np)
 
-  private def padAfter(words: Long): Int = if (words % 2 == 0) 0 else 4
+  private def padAfter(bytes: Long): Int = ((8 - bytes % 8) % 8).toInt
 
   // ---- write ----
 
@@ -92,9 +94,9 @@ object IndexFormat {
       Seq(inv.colIds, inv.cellCoords, inv.cellSeg, inv.segCol, inv.segStart).foreach(out.ints)
       out.chars(inv.boxLo)
       out.chars(inv.boxHi)
-      if (padAfter(wordCount(inv.numPivots, index.pivots.numPivots, inv.numColumns, inv.numCells,
-          inv.segCol.length)) != 0) out.ints(new Array[Int](1))
-      out.doubles(inv.mapped)
+      out.chars(inv.codes)
+      out.chars(new Array[Char](padAfter(codedBytes(inv.numPivots, index.pivots.numPivots, inv.numColumns,
+        inv.numCells, inv.segCol.length, inv.segStart.last)) / 2))
       out.doubles(inv.vectors)
       out.finish()
       ch.force(true)
@@ -192,8 +194,8 @@ object IndexFormat {
       val segStart = in.ints(segs + 1)
       val boxLo = in.chars(cells * (npv - np))
       val boxHi = in.chars(cells * (npv - np))
-      in.skip(padAfter(wordCount(np, npv, cols, cells, segs)))
-      val mapped = in.doubles(posts * np)
+      val codes = in.chars(posts * np)
+      in.chars(padAfter(codedBytes(np, npv, cols, cells, segs, posts)) / 2)
       val vectors = in.doubles(posts * dim)
       val stored = src(size - 4, 4).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
       val computed = in.checksum
@@ -203,7 +205,7 @@ object IndexFormat {
       InvertedIndex.boxesProblem(boxLo, boxHi, np, npv - np).foreach(p => fail(s"bad filter boxes: $p"))
 
       val inverted = new InvertedIndex(np, levels, extent, dim, colIds, cellCoords,
-        cellSeg, segCol, segStart, npv - np, boxLo, boxHi, mapped, vectors)
+        cellSeg, segCol, segStart, npv - np, boxLo, boxHi, codes, vectors)
       new PexesoIndex(PivotSet(pivots), inverted, buildNanos = h.getLong(48))
     } finally ch.close()
   }
@@ -240,8 +242,6 @@ object IndexFormat {
       off += bytes
       b.rewind()
     }
-
-    def skip(bytes: Int): Unit = if (bytes > 0) next(bytes)
 
     def doubles(n: Int): Array[Double] = {
       val out = new Array[Double](n)

@@ -19,9 +19,10 @@ import repro.core.HierarchicalGrid.CellKey
   * columns of a cell for Lemma 5 matches.
   *
   * Columns are dense indices `0 until numColumns`, in ascending order of
-  * their ids `colIds`. Posting p's pivot image is
-  * `mapped(p·numPivots until (p+1)·numPivots)` and its vector
-  * `vectors(p·dim until (p+1)·dim)`.
+  * their ids `colIds`. Posting p's pivot image is its distances to the
+  * grid's pivots as [[GridGeometry.code]]s,
+  * `codes(p·numPivots until (p+1)·numPivots)`, whose top m bits are its
+  * cell's coordinates, and its vector is `vectors(p·dim until (p+1)·dim)`.
   *
   * Each cell also keeps a box on each of its `numFilters` filter pivots,
   * the index's pivots beyond the grid's |P|: the least and greatest
@@ -51,7 +52,7 @@ final class InvertedIndex private[core] (
     val numFilters: Int,
     private[core] val boxLo: Array[Char],
     private[core] val boxHi: Array[Char],
-    val mapped: Array[Double],
+    val codes: Array[Char],
     val vectors: Array[Double],
 ) {
 
@@ -120,7 +121,8 @@ object InvertedIndex {
     val cellSeg = new Array[Int](numCells + 1)
     val segCol = new Array[Int](n)
     val segStart = new Array[Int](n + 1)
-    // the filter box of cell c: the least and greatest code of its vectors
+    // posting p's codes, and cell c's filter box: its vectors' least and greatest code
+    val codes = new Array[Char](n * np)
     val boxLo = new Array[Char](numCells * nf)
     val boxHi = new Array[Char](numCells * nf)
     var numSegs = 0
@@ -132,6 +134,7 @@ object InvertedIndex {
         val e = order(p)
         val first = p == leafStart(c)
         if (first || col(e) != col(order(p - 1))) { segCol(numSegs) = col(e); segStart(numSegs) = p; numSegs += 1 }
+        for (i <- 0 until np) codes(p * np + i) = GridGeometry.code(mapped(e)(i), codeWidth).toChar
         var j = 0
         while (j < nf) {
           val code = GridGeometry.code(mapped(e)(np + j), codeWidth).toChar
@@ -150,16 +153,12 @@ object InvertedIndex {
     // Copy in input order, which reads the source vectors sequentially.
     val pos = new Array[Int](n)
     for (p <- 0 until n) pos(order(p)) = p
-    val flatMapped = new Array[Double](n * np)
     val flatVecs = new Array[Double](n * dim)
-    for (src <- 0 until n) {
-      System.arraycopy(mapped(src), 0, flatMapped, pos(src) * np, np)
-      System.arraycopy(vecs(src), 0, flatVecs, pos(src) * dim, dim)
-    }
+    for (src <- 0 until n) System.arraycopy(vecs(src), 0, flatVecs, pos(src) * dim, dim)
 
     new InvertedIndex(np, grid.levels, grid.extent, dim, colIds, cellCoords, cellSeg,
       java.util.Arrays.copyOf(segCol, numSegs), java.util.Arrays.copyOf(segStart, numSegs + 1),
-      nf, boxLo, boxHi, flatMapped, flatVecs)
+      nf, boxLo, boxHi, codes, flatVecs)
   }
 
   /** Why `cells` are not the leaves of a grid: a coordinate outside

@@ -53,7 +53,6 @@ final class PexesoIndex(
       tau: Double,
       tFrac: Double,
       mode: VerifyMode = VerifyMode.Pexeso,
-      quickBrowsing: Boolean = true,
   ): SearchResult = {
     PexesoIndex.checkThresholds(tau, tFrac)
     require(query.nonEmpty, "empty query")
@@ -66,7 +65,7 @@ final class PexesoIndex(
     val hgQ = new HierarchicalGrid(numPivots, levels, inverted.extent)
     var q = 0
     while (q < query.length) { hgQ.insert(queryMapped(q), q); q += 1 }
-    val block = Block.run(hgQ, inverted, queryMapped, tau, quickBrowsing)
+    val block = Block.run(hgQ, inverted, queryMapped, tau)
     val t1 = System.nanoTime()
 
     val (joinable, stats) = Verify.pexeso(block, inverted, queryMapped, query, tau, tAbs, mode)

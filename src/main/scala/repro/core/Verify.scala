@@ -5,10 +5,12 @@ package repro.core
   * Walks the query vectors in id order. For each q it first credits the
   * columns of q's matching cells (Lemma 5), then tests the postings of
   * q's candidate cells, with pivot filtering / matching (Lemmas 1–2)
-  * before any exact distance. Its per-search state is two arrays over
-  * dense columns: `count`, the distinct query vectors matched so far (the
-  * paper's match map; joinability counts distinct `q ∈ Q_M`), and `hitAt`,
-  * which marks the columns q has matched. A column's segment is skipped
+  * before any exact distance: on a posting's 16-bit codes, these are
+  * Lemmas 3 and 5 on a one-code cell, q's [[GridGeometry.bounds]]. Its
+  * per-search state is two arrays over dense columns: `count`, the
+  * distinct query vectors matched so far (the paper's match map;
+  * joinability counts distinct `q ∈ Q_M`), and `hitAt`, which marks the
+  * columns q has matched. A column's segment is skipped
   *
   *   - once its count reaches `T·|Q|` (early termination: it is joinable);
   *   - once q has matched it;
@@ -85,7 +87,11 @@ object Verify {
     // pivots tested per posting, and the count Lemma 7 asks a column to be
     // able to reach; a count is never below 0, so PEXESO-H's 0 never fires
     val (np, reachable) = if (mode == VerifyMode.PexesoH) (0, 0) else (index.numPivots, tAbs)
-    val mapped = index.mapped
+    val codes = index.codes
+    // q's bounds, on which Lemmas 1 and 2 test each posting's codes
+    val lo = new Array[Int](np)
+    val hi = new Array[Int](np)
+    val lim = new Array[Int](np)
     val vectors = index.vectors
     val t = sqThreshold(tau)
     val matching = block.matchingPairs
@@ -114,8 +120,8 @@ object Verify {
       // Lemma 7: a column q has not matched counts only q' < q, and q and
       // the query vectors after it add at most numQ − q
       val left = numQ - q
-      val qm = queryMapped(q)
       val qo = queryOriginal(q)
+      GridGeometry.bounds(queryMapped(q), np, tau, index.codeWidth, lo, hi, lim)
       var ci = pairs.runStart(q)
       while (ci < pairs.runEnd(q)) {
         val cell = pairs.cell(ci)
@@ -127,23 +133,17 @@ object Verify {
             var found = false
             var p = index.segStart(s)
             while (p < index.segStart(s + 1) && !found) {
-              // Lemma 1 (filtered) takes precedence over Lemma 2 (matched)
+              // Lemma 1 (a code outside [lo, hi]) takes precedence over Lemma 2 (a code below lim)
               val off = p * np
-              var filtered = false
               var matched = false
               var j = 0
-              while (j < np && !filtered) {
-                val x = mapped(off + j)
-                if (math.abs(qm(j) - x) > tau) filtered = true
-                else if (qm(j) + x <= tau) matched = true
+              while (j < np && lo(j) <= codes(off + j) && codes(off + j) <= hi(j)) {
+                matched ||= codes(off + j) < lim(j)
                 j += 1
               }
-              if (!filtered) {
+              if (j == np) {
                 if (matched) found = true
-                else {
-                  stats.distanceComputations += 1
-                  if (within(qo, vectors, p, t)) found = true
-                }
+                else { stats.distanceComputations += 1; found = within(qo, vectors, p, t) }
               }
               p += 1
             }

@@ -39,17 +39,28 @@ class GridGeometrySpec extends AnyFunSuite {
   private val wv = GridGeometry.codeWidth(HierarchicalGrid.DefaultExtent)
   private def shift(g: HierarchicalGrid) = GridGeometry.CodeBits - g.levels
 
-  /** Lemma 3 as `lemma3Range` gives it, shifted to `g`'s leaves: whether
-    * the leaf `key` is outside q's range on some pivot.
+  /** q's code bounds on `n` pivots: Lemma 3's `lo` and `hi`, Lemma 5's `lim`. */
+  private def bounds(qm: Array[Double], n: Int, tau: Double, w: Double = wv): (Array[Int], Array[Int], Array[Int]) = {
+    val (lo, hi, lim) = (new Array[Int](n), new Array[Int](n), new Array[Int](n))
+    GridGeometry.bounds(qm, n, tau, w, lo, hi, lim)
+    (lo, hi, lim)
+  }
+
+  /** Lemma 3 as `bounds` gives it, shifted to `g`'s leaves: whether the
+    * leaf `key` is outside q's range on some pivot.
     */
   private def filtered(g: HierarchicalGrid, key: Seq[Int], qm: Array[Double], tau: Double): Boolean = {
-    val (lo, hi) = (new Array[Int](g.numDims), new Array[Int](g.numDims))
-    GridGeometry.lemma3Range(qm, g.numDims, tau, wv, lo, hi)
+    val (lo, hi, _) = bounds(qm, g.numDims, tau)
     key.indices.exists(i => key(i) < (lo(i) >> shift(g)) || key(i) > (hi(i) >> shift(g)))
   }
 
-  private def matched(g: HierarchicalGrid, key: Seq[Int], qm: Array[Double], tau: Double): Boolean =
-    GridGeometry.vectorCellMatched(key.toArray, 0, g.numDims, shift(g), wv, qm, tau)
+  /** Lemma 5 as `bounds` gives it, shifted to `g`'s leaves: whether the
+    * leaf `key` is below q's limit on some pivot.
+    */
+  private def matched(g: HierarchicalGrid, key: Seq[Int], qm: Array[Double], tau: Double): Boolean = {
+    val (_, _, lim) = bounds(qm, g.numDims, tau)
+    key.indices.exists(i => key(i) < (lim(i) >> shift(g)))
+  }
 
   test("Lemma 3 soundness: vector-cell filtered => no vector in the cell matches") {
     val (rng, pivots, tLeaves, _, hgS, _) = world(1)
@@ -128,7 +139,6 @@ class GridGeometrySpec extends AnyFunSuite {
     for (levels <- Seq(1, 2, 3, 5, 8); extent <- Seq(2.0 + 1e-6, 1.0, 0.3)) {
       val (side, width) = (1 << levels, extent / (1 << levels))
       val s = GridGeometry.CodeBits - levels
-      val (lo, hi) = (new Array[Int](1), new Array[Int](1))
       (1 to 300).foreach { t =>
         // values and τ on grid lines, just off them, and anywhere
         val onLine = rng.nextInt(side + 1) * width
@@ -144,7 +154,8 @@ class GridGeometrySpec extends AnyFunSuite {
           case 2 => extent * (1 + rng.nextDouble())
           case _ => rng.nextDouble() * extent / 2
         }
-        val nonEmpty = GridGeometry.lemma3Range(qm, 1, tau, GridGeometry.codeWidth(extent), lo, hi)
+        val (lo, hi, lim) = (new Array[Int](1), new Array[Int](1), new Array[Int](1))
+        val nonEmpty = GridGeometry.bounds(qm, 1, tau, GridGeometry.codeWidth(extent), lo, hi, lim)
         assert(nonEmpty == (lo(0) <= hi(0)))
         (0 until side).foreach { c =>
           val boxFiltered = c * width - qm(0) > tau || qm(0) - (c + 1) * width > tau
@@ -160,7 +171,7 @@ class GridGeometrySpec extends AnyFunSuite {
     for (extent <- Seq(2.0 + 1e-6, 1.0 / 3, 7.3)) {
       val w = GridGeometry.codeWidth(extent)
       val side = GridGeometry.Codes
-      val (lo, hi) = (new Array[Int](2), new Array[Int](2))
+      val (lo, hi, lim) = (new Array[Int](2), new Array[Int](2), new Array[Int](2))
       (1 to 2000).foreach { t =>
         val onLine = rng.nextInt(side) * w
         val qm = Array(math.min(extent, t % 3 match {
@@ -174,7 +185,7 @@ class GridGeometrySpec extends AnyFunSuite {
           case 2 => extent * (1 + rng.nextDouble())
           case _ => rng.nextDouble() * extent / 8
         }
-        assert(GridGeometry.lemma3Range(qm, 2, tau, w, lo, hi))
+        assert(GridGeometry.bounds(qm, 2, tau, w, lo, hi, lim))
         for (i <- 0 until 2) {
           def passes(c: Int) = !(c * w - qm(i) > tau) && !(qm(i) - (c + 1) * w > tau)
           val what = s"pivot $i range [${lo(i)}, ${hi(i)}] q=${qm(i)} tau=$tau"
@@ -182,6 +193,25 @@ class GridGeometrySpec extends AnyFunSuite {
           assert(passes(lo(i)) && passes(hi(i)), what)
           assert((lo(i) == 0 || !passes(lo(i) - 1)) && (hi(i) == side - 1 || !passes(hi(i) + 1)), what)
         }
+      }
+    }
+  }
+
+  test("Lemma 5's limit is the greatest code k with k·w <= τ − q', and c < lim >> s is the leaf box test") {
+    // q' and τ − q' at, just above and one ulp below the grid lines of
+    // levels 1 to 4, where a leaf box edge ((c+1) << s)·w can equal τ − q'
+    for (extent <- Seq(HierarchicalGrid.DefaultExtent, 1.0, 0.3); levels <- 1 to 4) {
+      val (side, w) = (1 << levels, GridGeometry.codeWidth(extent))
+      val s = GridGeometry.CodeBits - levels
+      val lines = (0 to side).map(_ * (extent / side))
+      def near(v: Double): Seq[Double] = Seq(v, math.nextUp(v), math.nextDown(v)).filter(_ >= 0)
+      for (q <- lines.flatMap(near).filter(_ <= extent); tau <- lines.flatMap(l => near(q + l) ++ near(l))) {
+        val lim = bounds(Array(q), 1, tau, w)._3(0)
+        val edge = tau - q
+        val what = s"lim $lim at q=$q tau=$tau m=$levels extent=$extent"
+        assert((lim == -1) == (tau < q), what)
+        assert(lim == -1 || lim * w <= edge && (lim == GridGeometry.Codes || (lim + 1) * w > edge), what)
+        (0 until side).foreach(c => assert((c < (lim >> s)) == (((c + 1) << s) * w <= edge), s"$what c=$c"))
       }
     }
   }

@@ -26,7 +26,12 @@ class InvertedIndexSpec extends AnyFunSuite {
       val keys = order.map(leafOf).distinct
       assert((0 until index.numCells).map(index.key(_).toList) == keys, what)
       assert(index.vectors.toSeq == order.flatMap(vecs(_)), what)
-      assert(index.mapped.toSeq == order.flatMap(mapped(_).take(np)), what)
+      // a posting's codes are the codes of its image on the grid pivots,
+      // and their top m bits its cell's coordinates
+      assert(index.codes.toSeq == order.flatMap(mapped(_).take(np).map(GridGeometry.code(_, index.codeWidth).toChar)),
+        what)
+      for (c <- 0 until index.numCells; p <- index.segStart(index.cellSeg(c)) until index.segStart(index.cellSeg(c + 1)))
+        assert((0 until np).map(i => index.codes(p * np + i) >> (GridGeometry.CodeBits - levels)) == index.key(c), what)
       val segments = order.indices.filter(i => i == 0 || (leafOf(order(i)), col(order(i))) !=
         (leafOf(order(i - 1)), col(order(i - 1))))
       assert(index.segStart.toSeq == segments :+ n, what)
@@ -64,12 +69,15 @@ class InvertedIndexSpec extends AnyFunSuite {
       }
       val mapped = Array.fill(300)(Array.fill(np)(value())) :+ Array.fill(np)(0.6250003125)
       val n = mapped.length
+      // each vector is its input index, so posting p's input image is mapped(vectors(p))
       val index = InvertedIndex.build(new HierarchicalGrid(np, levels), Array(0), new Array[Int](n), mapped,
-        Array.fill(n)(Array(0.0)))
+        Array.tabulate(n)(e => Array(e.toDouble)))
       for (c <- 0 until index.numCells; p <- index.segStart(index.cellSeg(c)) until index.segStart(index.cellSeg(c + 1));
            i <- 0 until np) {
-        val (k, x) = (index.key(c)(i), index.mapped(p * np + i))
+        val (k, x, code) = (index.key(c)(i), mapped(index.vectors(p).toInt)(i), index.codes(p * np + i))
         assert(k * w <= x && x <= (k + 1) * w, s"m=$levels |P|=$np: $x is outside leaf $k")
+        assert(code == GridGeometry.code(x, index.codeWidth) && k == code >> (GridGeometry.CodeBits - levels),
+          s"m=$levels |P|=$np: $x has code ${code.toInt} in leaf $k")
       }
     }
   }

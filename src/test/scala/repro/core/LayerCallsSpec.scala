@@ -36,10 +36,17 @@ class LayerCallsSpec extends AnyFunSuite {
         assert(stats.distanceComputations == want.distanceComputations, what)
         assert(block.candidates.length == want.candidatePairs && block.matching.length == want.matchingPairs, what)
 
-        // the cell a key names holds exactly the postings in that leaf
-        def inLeaf(p: Int, key: Seq[Int]): Boolean =
-          hgQ.coordsAt(index.inverted.mapped.slice(p * index.numPivots, (p + 1) * index.numPivots), index.levels)
-            .toSeq == key
+        // the cell a key names holds exactly the postings in that leaf: a
+        // posting's codes are those of its vector's image on the grid
+        // pivots, and their top m bits are the key
+        def inLeaf(p: Int, key: Seq[Int]): Boolean = {
+          val (np, dim) = (index.numPivots, index.inverted.dim)
+          val image = index.pivots.map(index.inverted.vectors.slice(p * dim, (p + 1) * dim)).take(np)
+          val codes = (0 until np).map(i => index.inverted.codes(p * np + i).toInt)
+          codes == image.map(GridGeometry.code(_, index.grid.codeWidth)).toSeq &&
+            codes.map(_ >> (GridGeometry.CodeBits - index.levels)) == key &&
+            hgQ.coordsAt(image, index.levels).toSeq == key
+        }
         hgQ.leafCells.foreach { l =>
           index.grid.leaf(l.key) match {
             case Some(c) =>

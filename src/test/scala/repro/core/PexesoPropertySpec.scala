@@ -12,7 +12,7 @@ import repro.baselines.NaiveSearch
   * unit vectors, across the parameter space and its edges — duplicate
   * vectors (in the lake and between lake and query), a single-column lake,
   * |Q| = 1, τ ∈ {0, small, 2}, T ∈ {1/|Q|, 1}, |P| ∈ 1..5, m ∈ 1..6, both
-  * verify modes, quick browsing on and off. Lakes of fewer vectors than
+  * verify modes, quick browsing on and (through `Block.run`) off. Lakes of fewer vectors than
   * the 16 pivots an index takes in all get fewer filter pivots.
   */
 class PexesoPropertySpec extends AnyFunSuite {
@@ -24,11 +24,11 @@ class PexesoPropertySpec extends AnyFunSuite {
     var withMatching = 0
     val prop = Prop.forAllNoShrink(genCase) { c =>
       val (cols, query) = c.instance
-      val res = PexesoIndex.build(cols, c.numPivots, c.levels)
-        .search(query, c.tau, c.tFrac, c.mode, c.quickBrowsing)
-      if (res.matchingPairs > 0) withMatching += 1
+      val (got, matchingPairs) = PexesoPropertySpec.search(PexesoIndex.build(cols, c.numPivots, c.levels),
+        query, c.tau, c.tFrac, c.mode, c.quickBrowsing)
+      if (matchingPairs > 0) withMatching += 1
       val want = NaiveSearch.search(cols, query, c.tau, c.tFrac).joinable
-      Prop(res.joinable == want) :| s"$c: got ${res.joinable}, want $want"
+      Prop(got == want) :| s"$c: got $got, want $want"
     }
     val params = Test.Parameters.default
       .withMinSuccessfulTests(400)
@@ -53,7 +53,7 @@ class PexesoPropertySpec extends AnyFunSuite {
       val wrong = for {
         mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH)
         qb <- Seq(true, false)
-        got = index.search(query, c.tau, c.tFrac, mode, qb).joinable
+        got = PexesoPropertySpec.search(index, query, c.tau, c.tFrac, mode, qb)._1
         if got != want
       } yield s"$mode qb=$qb: got $got"
       Prop(index.pivots.numPivots == all && index.numPivots == grid.length &&
@@ -72,6 +72,24 @@ class PexesoPropertySpec extends AnyFunSuite {
 }
 
 object PexesoPropertySpec {
+
+  /** The joinable columns and the matching pair count of `index.search`,
+    * or, with quick browsing off, of the layer calls that search makes, with
+    * `Block.run(…, quickBrowsing = false)`.
+    */
+  def search(index: PexesoIndex, query: Array[Array[Double]], tau: Double, tFrac: Double,
+             mode: VerifyMode, quickBrowsing: Boolean): (Set[Int], Long) =
+    if (quickBrowsing) {
+      val r = index.search(query, tau, tFrac, mode)
+      (r.joinable, r.matchingPairs)
+    } else {
+      val qm = index.pivots.mapAll(query)
+      val hgQ = new HierarchicalGrid(index.numPivots, index.levels, index.grid.extent)
+      qm.indices.foreach(v => hgQ.insert(qm(v), v))
+      val block = Block.run(hgQ, index.grid, qm, tau, quickBrowsing = false)
+      val tAbs = Verify.absThreshold(tFrac, query.length)
+      (Verify.pexeso(block, index.inverted, qm, query, tau, tAbs, mode)._1, block.matchingPairs.size.toLong)
+    }
 
   val genCase: Gen[Case] = for {
     seed <- Gen.choose(0L, Long.MaxValue)

@@ -17,7 +17,7 @@ class PexesoSpec extends AnyFunSuite {
                     quickBrowsing: Boolean = true): Unit = {
     val (cols, query) = TestData.searchInstance(seed)
     val index = PexesoIndex.build(cols, numPivots, levels)
-    val got = index.search(query, tau, tFrac, mode, quickBrowsing).joinable
+    val got = PexesoPropertySpec.search(index, query, tau, tFrac, mode, quickBrowsing)._1
     val want = NaiveSearch.search(cols, query, tau, tFrac).joinable
     assert(got == want,
       s"seed=$seed |P|=$numPivots m=$levels tau=$tau T=$tFrac mode=$mode qb=$quickBrowsing")
@@ -113,7 +113,7 @@ class PexesoSpec extends AnyFunSuite {
     assert(want == Set(0))
     for (p <- 1 to 3; m <- 1 to 4; mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH);
          qb <- Seq(true, false)) {
-      val got = PexesoIndex.build(cols, p, m).search(query, tau, 1.0, mode, qb).joinable
+      val got = PexesoPropertySpec.search(PexesoIndex.build(cols, p, m), query, tau, 1.0, mode, qb)._1
       assert(got == want, s"|P|=$p m=$m mode=$mode qb=$qb")
     }
   }
@@ -131,7 +131,7 @@ class PexesoSpec extends AnyFunSuite {
     val answers = (5 to 20).map(_ * 0.001).map { tau =>
       val want = NaiveSearch.search(cols, query, tau, 0.5).joinable
       for (mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH); qb <- Seq(true, false))
-        assert(index.search(query, tau, 0.5, mode, qb).joinable == want, s"tau=$tau mode=$mode qb=$qb")
+        assert(PexesoPropertySpec.search(index, query, tau, 0.5, mode, qb)._1 == want, s"tau=$tau mode=$mode qb=$qb")
       want
     }
     // some threshold separates joinable from non-joinable columns

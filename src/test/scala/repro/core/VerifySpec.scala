@@ -3,24 +3,30 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.baselines.NaiveSearch
+import repro.embed.VectorOps
 
 class VerifySpec extends AnyFunSuite {
 
-  /** A lake of one-dimensional values at |P| = 1, m = 4, each value its own
-    * pivot image (the pivot is the origin, so Lemmas 1–5 are exact), with
-    * Block's pairs for `query` and Verify's answer.
+  /** A lake of one-dimensional values at |P| = 1, m = 4, with Block's pairs
+    * for `query` and Verify's answer. The pivot is the origin, so a value's
+    * pivot image is its absolute value: Lemma 1 is exact for values on one
+    * side of it, Lemma 2 for values on opposite sides.
     */
   private def search(cols: IndexedSeq[ColumnVectors], query: Array[Array[Double]], tau: Double, tFrac: Double,
                      mode: VerifyMode, quickBrowsing: Boolean = true): (BlockResult, Set[Int], Verify.Stats) = {
     val lake = cols.flatMap(_.vectors).toArray
     val colOf = cols.indices.flatMap(c => Seq.fill(cols(c).vectors.length)(c)).toArray
-    val index = InvertedIndex.build(new HierarchicalGrid(1, 4), cols.map(_.colId).toArray, colOf, lake, lake)
+    def image(vs: Array[Array[Double]]) = vs.map(_.map(math.abs))
+    val index = InvertedIndex.build(new HierarchicalGrid(1, 4), cols.map(_.colId).toArray, colOf, image(lake), lake)
+    val qm = image(query)
     val hgQ = new HierarchicalGrid(1, 4)
-    query.indices.foreach(q => hgQ.insert(query(q), q))
-    val block = Block.run(hgQ, index, query, tau, quickBrowsing)
-    val (joinable, stats) = Verify.pexeso(block, index, query, query, tau, Verify.absThreshold(tFrac, query.length), mode)
+    qm.indices.foreach(q => hgQ.insert(qm(q), q))
+    val block = Block.run(hgQ, index, qm, tau, quickBrowsing)
+    val (joinable, stats) = Verify.pexeso(block, index, qm, query, tau, Verify.absThreshold(tFrac, query.length), mode)
     (block, joinable, stats)
   }
+
+  private val modes = Seq(VerifyMode.Pexeso, VerifyMode.PexesoH)
 
   test("absThreshold: smallest count whose fraction reaches T") {
     assert(Verify.absThreshold(0.5, 10) == 5)
@@ -96,6 +102,37 @@ class VerifySpec extends AnyFunSuite {
       // q0's candidate is not tested, since q0 already matches the column;
       // q1 = 0.85 takes one distance, to 0.8
       assert(stats.distanceComputations == (if (joins) 1 else 0), s"q1=$q1 $mode")
+    }
+  }
+
+  test("Lemmas 1 and 2 on codes decide as NaiveSearch at a code edge and at d = τ") {
+    // x' on a code edge c·w, and one ulp below it, in code c − 1; q at
+    // |q' − x'| = τ above and below x (Lemma 1's edge) and at q' + x' = τ on
+    // the pivot's other side (Lemma 2's edge), and τ also one ulp either side
+    val w = GridGeometry.codeWidth(HierarchicalGrid.DefaultExtent)
+    for (c <- Seq(1, 777, 20000, 32768, 40001); x <- Seq(c * w, math.nextDown(c * w)); delta <- Seq(0.3, 0.05);
+         q <- Seq(x + delta, x - delta, -delta)) {
+      val d = VectorOps.euclidean(Array(q), Array(x))
+      val (qm, col) = (math.abs(q), IndexedSeq(ColumnVectors(0, "x", Array(Array(x)))))
+      assert(d == (if (q >= 0) math.abs(qm - x) else qm + x), s"x=$x q=$q")
+      for (tau <- Seq(d, math.nextDown(d), math.nextUp(d)); mode <- modes) {
+        val (_, joinable, _) = search(col, Array(Array(q)), tau, 1.0, mode)
+        assert(joinable == NaiveSearch.search(col, Array(Array(q)), tau, 1.0).joinable, s"x=$x q=$q tau=$tau $mode")
+      }
+    }
+  }
+
+  test("Lemma 2 on a posting's code decides a candidate pair with no exact distance") {
+    // x = 0.13 lies in leaf [0.125, 0.25], which Lemma 5 cannot match for
+    // q' = 0.05 at τ = 0.2, since 0.25 > τ − q'; its code's box lies well
+    // inside [0, τ − q'] = [0, 0.15]
+    val col = IndexedSeq(ColumnVectors(0, "c", Array(Array(0.13))))
+    val query = Array(Array(0.05))
+    for (mode <- modes) {
+      val (block, joinable, stats) = search(col, query, 0.2, 1.0, mode)
+      assert(block.matchingPairs.size == 0 && block.candidatePairs.size == 1, s"$mode")
+      assert(joinable == Set(0) && joinable == NaiveSearch.search(col, query, 0.2, 1.0).joinable, s"$mode")
+      assert(stats.distanceComputations == (if (mode == VerifyMode.Pexeso) 0 else 1), s"$mode")
     }
   }
 }

@@ -179,6 +179,11 @@ class OutOfCoreSpec extends AnyFunSuite {
     assert(msg.contains("unsupported format version 3"), msg)
   }
 
+  test("load rejects a version-4 file, whose postings keep doubles, even with a valid checksum") {
+    val (_, msg) = loadFailure(115)(b => withChecksum(withInt(b, 4, _ => 4)))
+    assert(msg.contains("unsupported format version 4"), msg)
+  }
+
   /** `bytes` with the trailing checksum recomputed. */
   private def withChecksum(bytes: Array[Byte]): Array[Byte] = {
     val crc = new CRC32C
